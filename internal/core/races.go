@@ -137,14 +137,18 @@ func DetectEpochRaces(tr *trace.Trace, cfg RaceConfig) (RaceReport, error) {
 		}
 	}
 	for e := range tr.All() {
+		// Validate once, before the block lookups below rely on it.
+		if err := e.Validate(); err != nil {
+			return RaceReport{}, err
+		}
 		if bump(e) {
-			if err := sim.Feed(e); err != nil {
+			if err := sim.feed(e); err != nil {
 				return RaceReport{}, err
 			}
 			continue
 		}
 		if !e.Kind.IsAccess() {
-			if err := sim.Feed(e); err != nil {
+			if err := sim.feed(e); err != nil {
 				return RaceReport{}, err
 			}
 			continue
@@ -195,7 +199,7 @@ func DetectEpochRaces(tr *trace.Trace, cfg RaceConfig) (RaceReport, error) {
 				bm.read, bm.hasR = mark, true
 			}
 		}
-		if err := sim.Feed(e); err != nil {
+		if err := sim.feed(e); err != nil {
 			return RaceReport{}, err
 		}
 	}

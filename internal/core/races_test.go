@@ -107,6 +107,15 @@ func TestRaceConfigValidation(t *testing.T) {
 	}
 }
 
+func TestRaceRejectsUnmappedAddress(t *testing.T) {
+	var b tb
+	b.store(0, paddr(0))
+	b.tr.Emit(trace.Event{TID: 1, Kind: trace.Store, Addr: 1 << 60, Size: 8, Val: 1})
+	if _, err := DetectEpochRaces(&b.tr, RaceConfig{}); err == nil {
+		t.Fatal("store to an unmapped address accepted")
+	}
+}
+
 func TestRaceGranularityFalseSharing(t *testing.T) {
 	// Disjoint addresses in one 64-byte block race only under coarse
 	// tracking.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/memory"
@@ -25,24 +26,18 @@ import (
 type Sim struct {
 	params Params
 	spec   spec
-	// gen stamps the dense state tables below: an entry is live iff its
-	// stamp equals gen. Reset bumps gen, invalidating all per-run state
-	// in O(1) without clearing or reallocating the tables.
-	gen uint64
 
 	// threads is dense per-thread state indexed by TID (the execution
 	// engine numbers threads from zero).
 	threads []threadState
-	// trackV/trackP hold per-tracking-block state for the volatile and
-	// persistent address spaces, indexed by block-id offset from each
-	// space's base block. Heaps allocate first-fit from the space base,
-	// so offsets stay small and dense.
-	trackV, trackP blockTable
+	// blocks holds per-tracking-block state for both address spaces
+	// (their block ids are disjoint).
+	blocks blockTable[blockState]
 	// atoms tracks each atomic block's open (most recent) persist: its
 	// level, and the global placement sequence when it opened (for the
-	// finite coalescing window). Persists exist only in the persistent
-	// space, so one table suffices.
-	atoms atomTable
+	// finite coalescing window). An atomic block has an entry iff it
+	// has an open persist.
+	atoms blockTable[openPersist]
 
 	// touched is per-persist scratch: the tracking blocks spanned by the
 	// access, revisited after placement.
@@ -105,80 +100,114 @@ type threadState struct {
 	epoch, strand int64
 }
 
-// blockEntry is a blockTable slot: tracking-block state plus the
-// generation stamp that says whether it belongs to the current run.
-type blockEntry struct {
-	blockState
-	gen uint64
-}
-
-// blockTable is a growable dense table of tracking-block state for one
-// address space, indexed by block-id offset from the space's base.
-type blockTable struct {
-	base    memory.BlockID
-	entries []blockEntry
-}
-
-// ensure grows the table to cover index idx. Growing reallocates, so
-// callers that retain entry pointers must ensure the full span they
-// will touch before taking any pointer.
-func (tb *blockTable) ensure(idx int) {
-	if idx < len(tb.entries) {
-		return
+// blockTable maps block ids to per-block state. Its storage grows with
+// the blocks a run touches, not with the address span they lie in: a
+// trace touching a few words at the top of the 1 TiB persistent space
+// costs a few index nodes, not a span-sized array.
+//
+// The index is a radix tree over the block id, built of fixed-size
+// uint32 nodes: node 0 is the root, an interior entry holds a child's
+// node number (0 = absent), and a leaf entry holds an entry slot. Nodes
+// and entries live in chunkLists, so neither ever moves and an entry
+// pointer stays valid until reset.
+//
+// A slot is live iff it is below the run's entry count and its entry
+// records the same block id, so reset is O(1): it zeroes the count and
+// keeps the index and the storage for the next run.
+type blockTable[E any] struct {
+	nodes   chunkList[[nodeSize]uint32]
+	entries chunkList[tableEntry[E]]
+	nNodes  uint32 // nodes below the root
+	n       uint32 // entries handed out this run
+	// leafCache is a direct-mapped cache of recent leaf lookups, indexed
+	// by the id's bits above the leaf; page holds those bits plus one
+	// (0 = empty).
+	leafCache [leafCacheSize]struct {
+		page uint64
+		leaf *[nodeSize]uint32
 	}
-	n := idx + 1
-	if m := 2 * len(tb.entries); n < m {
-		n = m
-	}
-	ne := make([]blockEntry, n)
-	copy(ne, tb.entries)
-	tb.entries = ne
 }
 
-// get returns the live state for block b, lazily reinitializing a slot
-// left over from an earlier generation.
-func (tb *blockTable) get(b memory.BlockID, gen uint64) *blockState {
-	idx := int(b - tb.base)
-	tb.ensure(idx)
-	e := &tb.entries[idx]
-	if e.gen != gen {
-		e.gen = gen
-		e.blockState = blockState{
-			writer: zeroCtx, reader: zeroCtx, lastP: zeroCtx,
-			writerSrc: -1, readerSrc: -1, lastPSrc: -1,
+// tableEntry is one block's state and the id that owns it.
+type tableEntry[E any] struct {
+	id  memory.BlockID
+	val E
+}
+
+const (
+	nodeBits = 10
+	nodeSize = 1 << nodeBits
+	// levels of nodes, leaves included, cover every block id of the
+	// mapped spaces at the finest granularity (ids below 2^38 at 8 bytes).
+	levels = 4
+	// leafCacheSize lets an access stream that alternates between a few
+	// pages (a volatile lock word and a persistent buffer) skip the walk.
+	leafCacheSize = 4
+	// First chunk sizes (log2): 16 nodes and 1024 entries.
+	nodeChunkBits  = 4
+	entryChunkBits = 10
+)
+
+// reset invalidates every entry in O(1).
+func (t *blockTable[E]) reset() { t.n = 0 }
+
+// get returns block b's entry, and whether it was created by this call
+// (its value is then the zero E, or stale from an earlier run, for the
+// caller to initialize).
+func (t *blockTable[E]) get(b memory.BlockID) (val *E, fresh bool) {
+	k := uint64(b)
+	page := k>>nodeBits + 1
+	lc := &t.leafCache[page%leafCacheSize]
+	if lc.page != page {
+		lc.leaf, lc.page = t.leaf(k), page
+	}
+	ix := &lc.leaf[k%nodeSize]
+	if slot := *ix; slot < t.n {
+		if e := t.entries.at(slot, entryChunkBits); e.id == b {
+			return &e.val, false
 		}
 	}
-	return &e.blockState
+	*ix = t.n
+	e := t.entries.at(t.n, entryChunkBits)
+	t.n++
+	e.id = b
+	return &e.val, true
 }
 
-// atomEntry and atomTable are the same dense-plus-generation scheme for
-// atomic persist blocks; a stale stamp doubles as "no open persist".
-type atomEntry struct {
-	openPersist
-	gen uint64
-}
-
-type atomTable struct {
-	base    memory.BlockID
-	entries []atomEntry
-}
-
-func (tb *atomTable) ensure(idx int) {
-	if idx < len(tb.entries) {
-		return
+// leaf returns the leaf covering block id k, creating the path to it.
+func (t *blockTable[E]) leaf(k uint64) *[nodeSize]uint32 {
+	if k>>(levels*nodeBits) != 0 {
+		panic(fmt.Sprintf("core: block id %#x outside the mapped address spaces", k))
 	}
-	n := idx + 1
-	if m := 2 * len(tb.entries); n < m {
-		n = m
+	node := t.nodes.at(0, nodeChunkBits)
+	for shift := (levels - 1) * nodeBits; shift > 0; shift -= nodeBits {
+		c := &node[k>>shift%nodeSize]
+		if *c == 0 {
+			t.nNodes++
+			*c = t.nNodes
+		}
+		node = t.nodes.at(*c, nodeChunkBits)
 	}
-	ne := make([]atomEntry, n)
-	copy(ne, tb.entries)
-	tb.entries = ne
+	return node
 }
 
-// at returns the slot for block b; the caller must have ensured idx.
-func (tb *atomTable) at(b memory.BlockID) *atomEntry {
-	return &tb.entries[int(b-tb.base)]
+// chunkList is append-only storage whose elements never move: chunk c
+// holds 1<<(first+c) elements, so a list of n elements takes
+// O(log n) allocations. Every call on one list must pass the same
+// first.
+type chunkList[T any] struct {
+	chunks [33][]T // enough for every uint32 index
+}
+
+// at returns element i, allocating its chunk on first use.
+func (c *chunkList[T]) at(i uint32, first int) *T {
+	s := uint64(i) + 1<<first
+	hb := bits.Len64(s) - 1
+	ch := &c.chunks[hb-first]
+	if *ch == nil {
+		*ch = make([]T, 1<<hb)
+	}
+	return &(*ch)[s-1<<hb]
 }
 
 // blockState is the per-tracking-block dependence state.
@@ -209,8 +238,7 @@ func NewSim(p Params) (*Sim, error) {
 
 // Reset reinitializes the simulator for a fresh run under p, retaining
 // the allocated state tables so one Sim can replay many traces without
-// churning the allocator. Invalidation is O(1): the generation stamp is
-// bumped and stale entries reinitialize lazily on first touch. Any
+// churning the allocator. Invalidation is O(1) (see blockTable). Any
 // attached probe is detached.
 func (s *Sim) Reset(p Params) error {
 	if err := p.normalize(); err != nil {
@@ -218,11 +246,9 @@ func (s *Sim) Reset(p Params) error {
 	}
 	s.params = p
 	s.spec = p.Model.spec()
-	s.gen++
 	s.threads = s.threads[:0]
-	s.trackV.base = memory.BlockOf(memory.VolatileBase, p.TrackingGranularity)
-	s.trackP.base = memory.BlockOf(memory.PersistentBase, p.TrackingGranularity)
-	s.atoms.base = memory.BlockOf(memory.PersistentBase, p.AtomicGranularity)
+	s.blocks.reset()
+	s.atoms.reset()
 	s.touched = s.touched[:0]
 	s.res = Result{Model: p.Model, Params: p}
 	s.err = nil
@@ -271,12 +297,16 @@ func (s *Sim) thread(tid int32) *threadState {
 
 // block returns the tracking-block state for id b, which must be at the
 // configured tracking granularity. The returned pointer is valid until
-// the next block or trackingBlocks call, which may grow the table.
+// the next Reset.
 func (s *Sim) block(b memory.BlockID) *blockState {
-	if b >= s.trackP.base {
-		return s.trackP.get(b, s.gen)
+	bs, fresh := s.blocks.get(b)
+	if fresh {
+		*bs = blockState{
+			writer: zeroCtx, reader: zeroCtx, lastP: zeroCtx,
+			writerSrc: -1, readerSrc: -1, lastPSrc: -1,
+		}
 	}
-	return s.trackV.get(b, s.gen)
+	return bs
 }
 
 // Feed validates and processes one event in SC order.
@@ -288,8 +318,8 @@ func (s *Sim) Feed(e trace.Event) error {
 }
 
 // feed processes one already-validated event. MultiSim validates each
-// event once and fans it out here; the dense state indexers rely on
-// Validate's range checks, so unvalidated events must never reach feed.
+// event once and fans it out here; the block tables rely on Validate's
+// range checks, so unvalidated events must never reach feed.
 func (s *Sim) feed(e trace.Event) error {
 	s.res.Events++
 	switch e.Kind {
@@ -367,19 +397,13 @@ func (s *Sim) barrier(t *threadState) {
 	t.epochMax, t.epochMaxSrc = zeroCtx, -1
 }
 
-// trackingBlocks iterates the tracking blocks spanned by an access. The
-// whole span lies in one address space (Event.Validate checks the
-// range), and the table is pre-grown over it, so the pointers handed to
-// fn remain valid for the full iteration.
+// trackingBlocks iterates the tracking blocks spanned by an access.
+// Block pointers stay valid until Reset, so fn may retain them across
+// the iteration.
 func (s *Sim) trackingBlocks(e trace.Event, fn func(*blockState)) {
 	first, last := memory.BlockSpan(e.Addr, int(e.Size), s.params.TrackingGranularity)
-	tb := &s.trackV
-	if first >= s.trackP.base {
-		tb = &s.trackP
-	}
-	tb.ensure(int(last - tb.base))
 	for b := first; b <= last; b++ {
-		fn(tb.get(b, s.gen))
+		fn(s.block(b))
 	}
 }
 
@@ -468,13 +492,12 @@ func (s *Sim) persist(e trace.Event) {
 
 	// Place (or coalesce) one persist per spanned atomic block.
 	firstA, lastA := memory.BlockSpan(e.Addr, int(e.Size), s.params.AtomicGranularity)
-	s.atoms.ensure(int(lastA - s.atoms.base))
 	placedCtx := zeroCtx
 	placedSrc := int64(-1)
 	for ab := firstA; ab <= lastA; ab++ {
 		s.res.Persists++
-		ae := s.atoms.at(ab)
-		open, isOpen := ae.openPersist, ae.gen == s.gen
+		ae, fresh := s.atoms.get(ab)
+		open, isOpen := *ae, !fresh
 		stillBuffered := isOpen &&
 			(s.params.CoalesceWindow == 0 || s.res.Placed-open.seq <= s.params.CoalesceWindow)
 		var lvl, id int64
@@ -497,8 +520,7 @@ func (s *Sim) persist(e trace.Event) {
 			}
 			s.res.Placed++
 			id = s.res.Placed - 1
-			ae.openPersist = openPersist{lvl: lvl, seq: s.res.Placed, id: id}
-			ae.gen = s.gen
+			*ae = openPersist{lvl: lvl, seq: s.res.Placed, id: id}
 			if lvl > s.res.CriticalPath {
 				s.res.CriticalPath = lvl
 			}
@@ -552,8 +574,8 @@ func (s *Sim) persist(e trace.Event) {
 }
 
 // simPool recycles simulators across Simulate calls: sweeps replay the
-// same trace under thousands of parameter combinations, and the dense
-// state tables are the dominant allocation of each run.
+// same trace under thousands of parameter combinations, and a pooled
+// simulator keeps its state tables from run to run.
 var simPool = sync.Pool{New: func() any { return &Sim{} }}
 
 // AcquireSim returns a pooled simulator reset to p — the streaming

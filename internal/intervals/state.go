@@ -1,7 +1,5 @@
 package intervals
 
-import "math"
-
 // Set is an ordered set of half-open key ranges: a Map with unit
 // values and adjacent-range coalescing always on.
 type Set[K Key] struct {
@@ -56,138 +54,3 @@ func (s *Set[K]) Len() int { return s.m.Len() }
 
 // Clear empties the set, retaining capacity.
 func (s *Set[K]) Clear() { s.m.Clear() }
-
-// EpochInf is the "infinitely in the future" persistence epoch: data
-// modified but with no fence yet bounding its persist time.
-const EpochInf = math.MaxUint64
-
-// PersistInterval is the per-range state of PersistState: the epoch of
-// the most recent modification and the epoch whose closing fence
-// guarantees the modification is persisted (EpochInf while no
-// flush+fence bounds it). This is the Agamotto "persistence interval":
-// the window of time during which the write may reach the medium.
-type PersistInterval struct {
-	ModEpoch     uint64
-	PersistEpoch uint64
-}
-
-// OverlapsInterval reports whether two persist intervals can persist
-// in either order (their windows intersect).
-func (p PersistInterval) OverlapsInterval(o PersistInterval) bool {
-	return p.ModEpoch <= o.PersistEpoch && o.ModEpoch <= p.PersistEpoch
-}
-
-// PersistState tracks modified/flushed/persisted ranges of a
-// persistent address space across fence-delimited persistence epochs,
-// answering the two queries persistency verification is built from:
-// IsPersisted (is this range guaranteed on media now?) and
-// IsOrderedBefore (is range A guaranteed on media before any of range
-// B's modifications could be?). Range granularity is whatever key the
-// caller uses — byte addresses or cache-line ids.
-type PersistState[K Key] struct {
-	epoch uint64
-	// mods maps modified ranges to their persist intervals. Absent
-	// ranges were never modified (trivially persisted).
-	mods *Map[K, PersistInterval]
-	// flushed holds ranges flushed this epoch but not yet fenced.
-	flushed *Set[K]
-}
-
-// NewPersistState returns a state at epoch 0 with no modifications.
-func NewPersistState[K Key]() *PersistState[K] {
-	return &PersistState[K]{
-		mods:    NewMap[K, PersistInterval](func(a, b PersistInterval) bool { return a == b }),
-		flushed: NewSet[K](),
-	}
-}
-
-// Epoch returns the current persistence epoch (fences completed).
-func (s *PersistState[K]) Epoch() uint64 { return s.epoch }
-
-// Store records a modification of [lo, hi): its persist interval
-// restarts at the current epoch, unbounded until flushed and fenced.
-func (s *PersistState[K]) Store(lo, hi K) {
-	s.mods.Set(lo, hi, PersistInterval{ModEpoch: s.epoch, PersistEpoch: EpochInf})
-	s.flushed.Remove(lo, hi)
-}
-
-// Flush records a writeback request for [lo, hi). The data is not yet
-// guaranteed persisted — the flush itself may be delayed — until the
-// next Fence closes the epoch.
-func (s *PersistState[K]) Flush(lo, hi K) {
-	if s.mods.Overlaps(lo, hi) {
-		s.flushed.Insert(lo, hi)
-	}
-}
-
-// Fence closes the current epoch: every range flushed during it
-// becomes persisted at this epoch, and the epoch counter advances.
-func (s *PersistState[K]) Fence() {
-	e := s.epoch
-	s.flushed.m.EachAll(func(r Range[K], _ struct{}) bool {
-		s.mods.Update(r.Lo, r.Hi, func(_ Range[K], pi PersistInterval, ok bool) (PersistInterval, bool) {
-			if !ok {
-				return pi, false
-			}
-			if pi.PersistEpoch == EpochInf {
-				pi.PersistEpoch = e
-			}
-			return pi, true
-		})
-		return true
-	})
-	s.flushed.Clear()
-	s.epoch++
-}
-
-// IsPersisted reports whether every modification in [lo, hi) is
-// guaranteed to have reached the medium: each overlapping persist
-// interval closed in a previous epoch. Never-modified space is
-// trivially persisted.
-func (s *PersistState[K]) IsPersisted(lo, hi K) bool {
-	ok := true
-	s.mods.Each(lo, hi, func(_ Range[K], pi PersistInterval) bool {
-		if pi.PersistEpoch >= s.epoch {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
-}
-
-// IsOrderedBefore reports whether every modification of [aLo, aHi) is
-// guaranteed persisted before any modification of [bLo, bHi) can
-// persist: A's latest persist epoch closes strictly before B's
-// earliest modification epoch. Unmodified A is trivially ordered
-// before everything; unmodified B is ordered after nothing.
-func (s *PersistState[K]) IsOrderedBefore(aLo, aHi, bLo, bHi K) bool {
-	aMax := uint64(0)
-	aAny := false
-	s.mods.Each(aLo, aHi, func(_ Range[K], pi PersistInterval) bool {
-		aAny = true
-		if pi.PersistEpoch > aMax {
-			aMax = pi.PersistEpoch
-		}
-		return true
-	})
-	if !aAny {
-		return true
-	}
-	if aMax == EpochInf {
-		return false
-	}
-	bMin := uint64(EpochInf)
-	bAny := false
-	s.mods.Each(bLo, bHi, func(_ Range[K], pi PersistInterval) bool {
-		bAny = true
-		if pi.ModEpoch < bMin {
-			bMin = pi.ModEpoch
-		}
-		return true
-	})
-	if !bAny {
-		return false
-	}
-	return aMax < bMin
-}
