@@ -1,6 +1,10 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -42,5 +46,29 @@ func TestRunChecksExhaustive(t *testing.T) {
 	}
 	if got := runChecks(grid, true, 0, 0, nil); got != 0 {
 		t.Errorf("clean grid with -exhaustive exited %d, want 0", got)
+	}
+}
+
+// TestGraphDumpGolden pins -graph-dump on the CI smoke shape (8
+// shards, 4096 keys, 8 threads, 2000 ops, epoch policy): the dump
+// lists every node's In edges in order, so its digest fixes the graph
+// builder's exact output on a real workload. The digest was taken from
+// the frontier builder that preceded the current one.
+func TestGraphDumpGolden(t *testing.T) {
+	grid, err := parseGrid("epoch", 8, 4096, 8, 2000, 0.9, 1.1, 42, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "graph.txt")
+	if err := dumpGraph(path, grid[0], nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const golden = "c9a9ba7de9c442b30d18243889308130f76b0661f9befb77d25c4b4605d01fb5"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != golden {
+		t.Errorf("graph dump sha256 %s, golden %s", got, golden)
 	}
 }

@@ -53,10 +53,11 @@ func TestGrowAdditiveAllocs(t *testing.T) {
 // TestGraphBuildAllocs guards the builder's allocation behavior: the
 // interval-frontier rewrite dropped BenchmarkGraphBuild from 104815
 // (strict) / 121311 (epoch) allocs per 20k-event build to double
-// digits / low hundreds. The budgets below sit far under the old
-// counts' fifth (≈21k / ≈24k) while leaving headroom over the observed
-// 63 / 166, so a regression reintroducing per-event allocation fails
-// loudly.
+// digits / low hundreds, and every frontier vec — barrier and load
+// unions included — comes from a chunked slab, not one allocation per
+// barrier. The budgets are the CI graph-build gate's bar (1.25× the
+// BENCH_history.jsonl baseline of 64 / 167), so a regression the
+// benchdiff gate would flag fails here first.
 func TestGraphBuildAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -66,8 +67,8 @@ func TestGraphBuildAllocs(t *testing.T) {
 		model  core.Model
 		budget float64
 	}{
-		{core.Strict, 1000},
-		{core.Epoch, 4000},
+		{core.Strict, 80},
+		{core.Epoch, 208},
 	} {
 		p := core.Params{Model: tc.model}
 		got := testing.AllocsPerRun(2, func() {
@@ -81,15 +82,24 @@ func TestGraphBuildAllocs(t *testing.T) {
 	}
 }
 
-// TestBuildStatsPopulated: trace builds report the frontier shape.
+// TestBuildStatsPopulated: trace builds report the frontier shape,
+// and BuildWithBarriers reports the same Stats as Build.
 func TestBuildStatsPopulated(t *testing.T) {
 	tr := benchTrace(2000)
-	g, err := Build(tr, core.Params{Model: core.Epoch})
+	p := core.Params{Model: core.Epoch}
+	g, err := Build(tr, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := g.Stats
 	if s.FrontierRanges <= 0 || s.PeakRanges < s.FrontierRanges {
 		t.Fatalf("implausible frontier stats: %+v", s)
+	}
+	bg, _, err := BuildWithBarriers(tr, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bg.Stats != s {
+		t.Fatalf("BuildWithBarriers stats %+v, Build %+v", bg.Stats, s)
 	}
 }

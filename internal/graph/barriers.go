@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/trace"
 )
@@ -32,38 +34,39 @@ type BarrierInfo struct {
 }
 
 // BuildWithBarriers is Build plus a per-annotation effect report, in
-// trace order. The graph is identical to Build's.
+// trace order. The graph, Stats included, is identical to Build's: both
+// run the same event loop, this one with a collector that inspects the
+// builder state before each annotation is fed.
 func BuildWithBarriers(tr *trace.Trace, p core.Params) (*Graph, []BarrierInfo, error) {
 	b, err := newBuilder(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	b.g.Grow(tr.CountPersists())
 	var infos []BarrierInfo
 	epochs := make(map[int32]int64)
-	for _, c := range tr.Chunks() {
-		for i := 0; i < c.Len(); i++ {
-			e := c.Event(i)
-			if e.Kind.IsAnnotation() {
-				epochs[e.TID]++
-				infos = append(infos, BarrierInfo{
-					Seq:       e.Seq,
-					TID:       e.TID,
-					Kind:      e.Kind,
-					Epoch:     epochs[e.TID],
-					Redundant: b.annotationRedundant(e),
-				})
-			}
-			if err := b.feed(e); err != nil {
-				return nil, nil, err
-			}
-		}
+	err = b.run(tr, func(e trace.Event) {
+		epochs[e.TID]++
+		infos = append(infos, BarrierInfo{
+			Seq:       e.Seq,
+			TID:       e.TID,
+			Kind:      e.Kind,
+			Epoch:     epochs[e.TID],
+			Redundant: b.annotationRedundant(e),
+		})
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return b.g, infos, nil
 }
 
 // annotationRedundant reports whether feeding e would change no builder
 // state. It must be called immediately before feed(e).
+//
+// A deferred prune (gThread.prune) never changes the answer: it is only
+// set by a persist, which also makes epochMax non-empty until the next
+// bind or strand reset, and a non-empty epochMax already makes every
+// annotation effective.
 func (b *builder) annotationRedundant(e trace.Event) bool {
 	t := b.threads[e.TID]
 	switch e.Kind {
@@ -89,7 +92,7 @@ func (b *builder) annotationRedundant(e trace.Event) bool {
 		return t == nil
 	}
 	for id := range t.pending {
-		if _, ok := t.active[id]; !ok {
+		if _, ok := slices.BinarySearch(t.active, id); !ok {
 			return false
 		}
 	}

@@ -19,28 +19,32 @@ import (
 // semantics are preserved exactly: an interval can only split at block
 // edges.
 //
-// Frontier node sets are stored as nodeVec — sorted, immutable,
-// copy-on-write slices. Sharing is safe because no operation mutates a
-// published vec in place; singletons (the dominant case: a block just
-// persisted) are carved from a chunked slab so the per-persist
-// frontier reset allocates nothing in steady state.
+// Frontier node sets, and each thread's program-order frontier, are
+// stored as nodeVec — sorted, immutable, copy-on-write slices. Sharing
+// is safe because no operation mutates a published vec in place. Every
+// vec (singletons — the dominant case: a block just persisted — and
+// the unions built at loads, volatile stores and barriers) is carved
+// from a chunked append-only slab, so the build allocates per slab
+// chunk rather than per event or per barrier.
 
 // nodeVec is a sorted set of node ids. The empty vec is nil. Vecs are
-// immutable once stored in a frontier: operations return new (or
-// shared) slices, never append in place.
+// immutable once stored in a frontier or a thread's active set:
+// operations return new (or shared) slices, never append in place.
 type nodeVec []NodeID
 
-// has reports membership (linear scan: frontiers are small).
-func (v nodeVec) has(id NodeID) bool {
-	for _, x := range v {
-		if x == id {
-			return true
+// subsetOf reports v ⊆ w (one merge-style pass over both).
+func (v nodeVec) subsetOf(w nodeVec) bool {
+	j := 0
+	for _, id := range v {
+		for j < len(w) && w[j] < id {
+			j++
 		}
-		if x > id {
+		if j == len(w) || w[j] != id {
 			return false
 		}
+		j++
 	}
-	return false
+	return true
 }
 
 // vecEq reports set equality. Shared backing is the fast path: a
@@ -78,16 +82,62 @@ func blockEq(a, b blockState) bool {
 	return a.lastP == b.lastP && vecEq(a.writer, b.writer) && vecEq(a.reader, b.reader)
 }
 
-// single returns a slab-backed immutable singleton vec. The full-slice
-// expression caps the result so a stray append could never clobber the
-// slab.
-func (b *builder) single(id NodeID) nodeVec {
-	if len(b.idSlab) == cap(b.idSlab) {
-		b.idSlab = make([]NodeID, 0, 1024)
+// idChunk is the id slab's chunk size, in node ids.
+const idChunk = 1024
+
+// vec carves an empty vec with capacity n from the chunked,
+// append-only id slab. Published vecs are never mutated, so carving
+// them from shared chunks is safe; the capacity limit keeps a stray
+// append from clobbering the next vec.
+func (b *builder) vec(n int) nodeVec {
+	if cap(b.idSlab)-len(b.idSlab) < n {
+		b.idSlab = make([]NodeID, 0, max(idChunk, n))
 	}
-	b.idSlab = append(b.idSlab, id)
-	n := len(b.idSlab)
-	return nodeVec(b.idSlab[n-1 : n : n])
+	l := len(b.idSlab)
+	b.idSlab = b.idSlab[:l+n]
+	return nodeVec(b.idSlab[l : l : l+n])
+}
+
+// single returns a slab-backed singleton vec.
+func (b *builder) single(id NodeID) nodeVec {
+	return append(b.vec(1), id)
+}
+
+// union returns a ∪ c, sharing an input when it already holds the
+// other.
+func (b *builder) union(a, c nodeVec) nodeVec {
+	if c.subsetOf(a) {
+		return a
+	}
+	if len(a) == 0 {
+		return c
+	}
+	return b.merge(a, c)
+}
+
+// merge returns the sorted union of a and c as a fresh slab vec. It is
+// the most recent carve, so the slots duplicates left unused go back
+// to the slab.
+func (b *builder) merge(a, c nodeVec) nodeVec {
+	out := b.vec(len(a) + len(c))
+	i, j := 0, 0
+	for i < len(a) && j < len(c) {
+		switch {
+		case a[i] < c[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > c[j]:
+			out = append(out, c[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i, j = i+1, j+1
+		}
+	}
+	out = append(out, a[i:]...)
+	out = append(out, c[j:]...)
+	b.idSlab = b.idSlab[:len(b.idSlab)-(cap(out)-len(out))]
+	return out[:len(out):len(out)]
 }
 
 // allocEdges carves an exact-size In slice from the chunked edge slab.
@@ -122,72 +172,6 @@ func intoSet(s nodeSet, v nodeVec) nodeSet {
 		s[id] = struct{}{}
 	}
 	return s
-}
-
-// vecAddSet returns v ∪ s, sharing v when s adds nothing.
-func (b *builder) vecAddSet(v nodeVec, s nodeSet) nodeVec {
-	if len(s) == 0 {
-		return v
-	}
-	b.tmp = b.tmp[:0]
-	for id := range s {
-		if !v.has(id) {
-			b.tmp = append(b.tmp, id)
-		}
-	}
-	if len(b.tmp) == 0 {
-		return v
-	}
-	// Insertion-sort the additions (tiny), then merge.
-	for i := 1; i < len(b.tmp); i++ {
-		for j := i; j > 0 && b.tmp[j] < b.tmp[j-1]; j-- {
-			b.tmp[j], b.tmp[j-1] = b.tmp[j-1], b.tmp[j]
-		}
-	}
-	return mergeVecs(v, b.tmp)
-}
-
-// vecUnion returns a ∪ b, sharing an input when it already contains
-// the other.
-func vecUnion(a, b nodeVec) nodeVec {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	missing := 0
-	for _, id := range b {
-		if !a.has(id) {
-			missing++
-		}
-	}
-	if missing == 0 {
-		return a
-	}
-	return mergeVecs(a, b)
-}
-
-// mergeVecs merges two sorted id slices into a fresh sorted set.
-func mergeVecs(a, b nodeVec) nodeVec {
-	out := make(nodeVec, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }
 
 // BuildStats summarizes the interval frontier's shape after a trace

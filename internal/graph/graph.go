@@ -18,10 +18,20 @@
 // NVRAM writes but never adds ordering, so the un-coalesced DAG admits a
 // superset of the recovery states — the conservative direction for
 // verifying recovery correctness.
+//
+// Build and BuildWithBarriers share one frontier state machine (builder
+// in this file, its interval frontier in frontier.go): a single pass
+// over the trace that materializes each persist's edges as it goes.
+// BuildWithBarriers only adds a collector reporting each persistency
+// annotation's effect (barriers.go). The tests keep a per-block
+// reference builder as the semantic oracle (refbuild_test.go) and pin
+// the exact node order, edge order, Stats and BarrierInfo with golden
+// digests (golden_test.go).
 package graph
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -287,63 +297,52 @@ func (g *Graph) DOT(name string) string {
 // intentionally not modeled — see the package comment). The state
 // machine mirrors core.Sim but carries dependence *frontiers* (sets of
 // node ids) instead of scalar levels, keyed by address interval rather
-// than per block (see frontier.go).
+// than per block (see frontier.go). Each node's In edges come in a
+// fixed order: atomicity sources in ascending address order, then
+// conflict sources per range (writers before readers), then the
+// thread's program-order frontier ascending; a source that orders the
+// persist for several reasons appears once, under its first class.
 func Build(tr *trace.Trace, p core.Params) (*Graph, error) {
 	b, err := newBuilder(p)
 	if err != nil {
 		return nil, err
 	}
-	// Pre-pass: one graph node per persist event, so the node slab can
-	// be sized exactly before building (a planes-only SoA walk).
-	b.g.Grow(tr.CountPersists())
-	for _, c := range tr.Chunks() {
-		for i := 0; i < c.Len(); i++ {
-			if err := b.feed(c.Event(i)); err != nil {
-				return nil, err
-			}
-		}
+	if err := b.run(tr, nil); err != nil {
+		return nil, err
 	}
-	b.g.Stats = b.statsOf()
 	return b.g, nil
 }
 
 type nodeSet map[NodeID]struct{}
 
-func (s nodeSet) add(ids ...NodeID) nodeSet {
-	if s == nil {
-		s = make(nodeSet)
-	}
-	for _, id := range ids {
-		s[id] = struct{}{}
-	}
-	return s
-}
-
-func (s nodeSet) union(o nodeSet) nodeSet {
-	if len(o) == 0 {
-		return s
-	}
-	if s == nil {
-		s = make(nodeSet)
-	}
-	for id := range o {
-		s[id] = struct{}{}
-	}
-	return s
-}
-
-func (s nodeSet) clone() nodeSet {
-	c := make(nodeSet, len(s))
-	for id := range s {
-		c[id] = struct{}{}
-	}
-	return c
-}
-
+// gThread is one thread's ordering state.
 type gThread struct {
-	active   nodeSet
-	pending  nodeSet
-	epochMax nodeSet
+	// active is the program-order frontier: every later persist of the
+	// thread (in non-strict models, of its later epochs) depends on it.
+	active nodeVec
+	// pending holds imported cross-thread dependences not yet bound
+	// into active (non-strict models only).
+	pending nodeSet
+	// epochMax collects the open epoch's persists; ids are assigned in
+	// trace order, so appends keep it sorted.
+	epochMax []NodeID
+	// prune defers dropping active from pending after a persist (see
+	// builder.persist).
+	prune bool
+}
+
+// flushPrune applies a deferred prune: between a persist and the next
+// read or write of pending, active does not change, so deleting it
+// then removes exactly what deleting it at the persist would have,
+// while a run of consecutive persists pays the O(active) sweep once.
+func (t *gThread) flushPrune() {
+	if !t.prune {
+		return
+	}
+	t.prune = false
+	for _, id := range t.active {
+		delete(t.pending, id)
+	}
 }
 
 type builder struct {
@@ -361,11 +360,12 @@ type builder struct {
 	// space has no entry at all.
 	blocks     *intervals.Map[memory.Addr, blockState]
 	peakRanges int
+	// srcMark is the per-persist edge dedup stamp, one slot per node.
+	srcMark []NodeID
 	// Per-persist scratch and slabs, reused across events.
-	seen     []NodeID
 	edgeBuf  []Edge
 	tiles    []blockState
-	tmp      []NodeID
+	pendBuf  nodeVec // a barrier's pending ids, sorted
 	idSlab   []NodeID
 	edgeSlab []Edge
 }
@@ -398,6 +398,30 @@ func newBuilder(p core.Params) (*builder, error) {
 	return b, nil
 }
 
+// run feeds every event of tr, calling annot (when non-nil) on each
+// annotation event just before it is fed, and records the frontier
+// stats on the graph.
+func (b *builder) run(tr *trace.Trace, annot func(trace.Event)) error {
+	// One graph node per persist event, so the node slab can be sized
+	// exactly before building (a planes-only SoA walk).
+	n := tr.CountPersists()
+	b.g.Grow(n)
+	b.srcMark = make([]NodeID, n)
+	for _, c := range tr.Chunks() {
+		for i := 0; i < c.Len(); i++ {
+			e := c.Event(i)
+			if annot != nil && e.Kind.IsAnnotation() {
+				annot(e)
+			}
+			if err := b.feed(e); err != nil {
+				return err
+			}
+		}
+	}
+	b.g.Stats = b.statsOf()
+	return nil
+}
+
 func (b *builder) thread(tid int32) *gThread {
 	t, ok := b.threads[tid]
 	if !ok {
@@ -409,7 +433,7 @@ func (b *builder) thread(tid int32) *gThread {
 
 // span returns the tracking-granularity-aligned byte range the event's
 // access covers: the interval-map key range standing in for the block
-// ids the per-block builder enumerated. Event sizes are 1..8 and
+// ids a per-block builder enumerates. Event sizes are 1..8 and
 // validated, so the range is never empty.
 func (b *builder) span(e trace.Event) (lo, hi memory.Addr) {
 	g := b.p.TrackingGranularity
@@ -435,18 +459,19 @@ func (b *builder) feed(e trace.Event) error {
 			return nil
 		}
 		t := b.thread(e.TID)
+		t.flushPrune()
 		lo, hi := b.span(e)
 		b.blocks.Update(lo, hi, func(_ intervals.Range[memory.Addr], bs blockState, ok bool) (blockState, bool) {
 			if !ok {
 				bs.lastP = -1
 			}
 			if b.strict {
-				t.active = intoSet(t.active, bs.writer)
+				t.active = b.union(t.active, bs.writer)
 			} else {
 				t.pending = intoSet(t.pending, bs.writer)
 			}
 			if b.lbs {
-				bs.reader = b.vecAddSet(bs.reader, t.active)
+				bs.reader = b.union(bs.reader, t.active)
 			}
 			// An absent range stays absent unless it gained readers:
 			// empty frontier state is equivalent to no state.
@@ -458,6 +483,7 @@ func (b *builder) feed(e trace.Event) error {
 			b.persist(e)
 		} else if b.volc {
 			t := b.thread(e.TID)
+			t.flushPrune()
 			lo, hi := b.span(e)
 			b.blocks.Update(lo, hi, func(_ intervals.Range[memory.Addr], bs blockState, ok bool) (blockState, bool) {
 				if !ok {
@@ -465,12 +491,12 @@ func (b *builder) feed(e trace.Event) error {
 				}
 				// The store inherits the range's dependences...
 				if b.strict {
-					t.active = intoSet(intoSet(t.active, bs.writer), bs.reader)
+					t.active = b.union(b.union(t.active, bs.writer), bs.reader)
 				} else {
 					t.pending = intoSet(intoSet(t.pending, bs.writer), bs.reader)
 				}
 				// ...and becomes, with them, the range's write frontier.
-				bs.writer = b.vecAddSet(vecUnion(bs.writer, bs.reader), t.active)
+				bs.writer = b.union(b.union(bs.writer, bs.reader), t.active)
 				bs.reader = nil
 				return bs, ok || len(bs.writer) > 0
 			})
@@ -483,7 +509,10 @@ func (b *builder) feed(e trace.Event) error {
 	case trace.NewStrand:
 		if b.strands {
 			t := b.thread(e.TID)
-			t.active, t.pending, t.epochMax = nil, nil, nil
+			t.active = nil
+			t.epochMax = t.epochMax[:0]
+			clear(t.pending)
+			t.prune = false
 		}
 	case trace.PersistSync:
 		b.bindEpoch(b.thread(e.TID))
@@ -493,33 +522,26 @@ func (b *builder) feed(e trace.Event) error {
 	return nil
 }
 
+// bindEpoch closes the thread's epoch: pending dependences and the
+// epoch's persists become the program-order frontier.
 func (b *builder) bindEpoch(t *gThread) {
+	t.flushPrune()
+	sp := b.pendBuf[:0]
+	for id := range t.pending {
+		sp = append(sp, id)
+	}
+	slices.Sort(sp)
+	b.pendBuf = sp
 	if len(t.epochMax) > 0 {
 		// Every persist of the closing epoch carries edges from the old
 		// active set, so the old set is dominated and can be dropped —
-		// the frontier pruning that keeps dependence sets bounded. The
-		// old set's storage is reused (nothing aliases it: unions copy
-		// elements out), so a barrier allocates only on set growth.
-		act := t.active
-		if act == nil {
-			act = make(nodeSet, len(t.pending)+len(t.epochMax))
-		} else {
-			clear(act)
-		}
-		for id := range t.pending {
-			act[id] = struct{}{}
-		}
-		for id := range t.epochMax {
-			act[id] = struct{}{}
-		}
-		t.active = act
-	} else {
-		t.active = t.active.union(t.pending)
+		// the frontier pruning that keeps dependence sets bounded.
+		t.active = b.merge(sp, t.epochMax)
+		t.epochMax = t.epochMax[:0]
+	} else if !sp.subsetOf(t.active) {
+		t.active = b.merge(t.active, sp)
 	}
-	// Keep pending's and epochMax's storage too: the next epoch refills
-	// them.
 	clear(t.pending)
-	clear(t.epochMax)
 }
 
 func (b *builder) persist(e trace.Event) {
@@ -527,19 +549,17 @@ func (b *builder) persist(e trace.Event) {
 	id := b.g.AddNode("", e)
 	lo, hi := b.span(e)
 
-	// Deduplicated edge insertion: sources accumulate in a reusable
-	// list; in-degrees are small, so a linear scan beats a fresh map
-	// per persist. Edges stage in edgeBuf and commit as one exact-size
-	// slab slice below.
-	b.seen = b.seen[:0]
+	// Deduplicated edge insertion: srcMark[from] == id+1 flags a source
+	// this persist already has (ids only grow, so older marks never
+	// match), which keeps dedup linear in the in-degree — KV epoch
+	// persists reach in-degrees over a thousand. Edges stage in edgeBuf
+	// and commit as one exact-size slab slice below.
 	b.edgeBuf = b.edgeBuf[:0]
 	addEdge := func(from NodeID, class EdgeClass) {
-		for _, s := range b.seen {
-			if s == from {
-				return
-			}
+		if b.srcMark[from] == id+1 {
+			return
 		}
-		b.seen = append(b.seen, from)
+		b.srcMark[from] = id + 1
 		b.edgeBuf = append(b.edgeBuf, Edge{From: from, Class: class})
 	}
 
@@ -568,41 +588,27 @@ func (b *builder) persist(e trace.Event) {
 			addEdge(from, Conflict)
 		}
 	}
-	// Program-order / barrier dependences. t.active is a map, so sort
-	// this segment (tiny; insertion sort, no allocation) to keep edge
-	// order deterministic.
-	po := len(b.edgeBuf)
-	for from := range t.active {
+	tileSources := len(b.edgeBuf)
+	// Program-order / barrier dependences, ascending (active is sorted).
+	for _, from := range t.active {
 		addEdge(from, ProgramOrder)
-	}
-	if tail := b.edgeBuf[po:]; len(tail) > 1 {
-		for i := 1; i < len(tail); i++ {
-			for j := i; j > 0 && tail[j].From < tail[j-1].From; j-- {
-				tail[j], tail[j-1] = tail[j-1], tail[j]
-			}
-		}
 	}
 	n := b.g.Nodes[id]
 	n.In = b.allocEdges(len(b.edgeBuf))
 	copy(n.In, b.edgeBuf)
 
 	if b.strict {
-		// The new persist subsumes everything it depends on. Reuse the
-		// thread's set: nothing aliases it (unions copy elements out).
-		if t.active == nil {
-			t.active = make(nodeSet, 1)
-		} else {
-			clear(t.active)
-		}
-		t.active[id] = struct{}{}
+		// The new persist subsumes everything it depends on.
+		t.active = b.single(id)
 	} else {
-		t.epochMax = t.epochMax.add(id)
+		t.epochMax = append(t.epochMax, id)
 		// Everything this persist directly depends on is now dominated
-		// by it; scrub those nodes from pending rather than adding the
-		// block contexts (they would only produce redundant edges).
-		for _, from := range b.seen {
-			delete(t.pending, from)
+		// by it, so it leaves pending: the range sources now, the
+		// active set at the next use of pending (see flushPrune).
+		for _, src := range b.edgeBuf[:tileSources] {
+			delete(t.pending, src.From)
 		}
+		t.prune = true
 	}
 	// The persist has edges from every prior dependence of its whole
 	// footprint, so it alone is the new dependence frontier: one

@@ -229,3 +229,30 @@ func TestDuplicateEdgeIgnored(t *testing.T) {
 		t.Fatalf("in edges = %v", g.Nodes[b].In)
 	}
 }
+
+// TestBuildErrors pins the error paths of both entry points: an
+// invalid event aborts the build with its validation error, and an
+// unknown model is refused up front.
+func TestBuildErrors(t *testing.T) {
+	tr := &trace.Trace{}
+	tr.Emit(trace.Event{TID: 0, Kind: trace.Store, Addr: memory.PersistentBase, Size: 8, Val: 1})
+	tr.Emit(trace.Event{TID: 0, Kind: trace.Store, Addr: memory.PersistentBase + 8, Size: 0, Val: 1}) // bad size
+	want := tr.At(1).Validate()
+	if want == nil {
+		t.Fatal("fixture event unexpectedly valid")
+	}
+	p := core.Params{Model: core.Epoch}
+	if _, err := Build(tr, p); err == nil || err.Error() != want.Error() {
+		t.Errorf("Build: error %v, want %v", err, want)
+	}
+	if _, _, err := BuildWithBarriers(tr, p); err == nil || err.Error() != want.Error() {
+		t.Errorf("BuildWithBarriers: error %v, want %v", err, want)
+	}
+	bad := core.Params{Model: core.Model(99)}
+	if _, err := Build(&trace.Trace{}, bad); err == nil {
+		t.Error("Build accepted unknown model")
+	}
+	if _, _, err := BuildWithBarriers(&trace.Trace{}, bad); err == nil {
+		t.Error("BuildWithBarriers accepted unknown model")
+	}
+}
