@@ -85,28 +85,36 @@ func psoTrace(seed int64) *trace.Trace {
 	return tr
 }
 
-// goldenTraces returns the trace families the golden digests cover:
-// the differential tests' random traces (seeds 0-24), PSO machine
-// traces (seeds 0-5), and the KV serving trace at the CI smoke shape
-// (8 shards, 4096 keys, 8 threads, 2000 ops, epoch policy).
-func goldenTraces(t *testing.T) map[string][]*trace.Trace {
+// goldenTraces returns the traces of one golden family, in order:
+// "random" is the differential tests' random traces (seeds 0-24),
+// "pso" the PSO machine traces (seeds 0-5), and "kv" the KV serving
+// trace at the CI smoke shape (8 shards, 4096 keys, 8 threads, 2000
+// ops, epoch policy).
+func goldenTraces(t *testing.T, family string) []*trace.Trace {
 	t.Helper()
-	fams := map[string][]*trace.Trace{}
-	for seed := int64(0); seed < 25; seed++ {
-		fams["random"] = append(fams["random"], graph.RandomTrace(rand.New(rand.NewSource(seed)), 200))
+	var trs []*trace.Trace
+	switch family {
+	case "random":
+		for seed := int64(0); seed < 25; seed++ {
+			trs = append(trs, graph.RandomTrace(rand.New(rand.NewSource(seed)), 200))
+		}
+	case "pso":
+		for seed := int64(0); seed < 6; seed++ {
+			trs = append(trs, psoTrace(seed))
+		}
+	case "kv":
+		run, err := workload.BuildKV(workload.KVOptions{
+			Shards: 8, Keys: 4096, Threads: 8, Ops: 2000, ReadFrac: 0.9, ZipfS: 1.1,
+			Policy: journal.PolicyEpoch, Seed: 42, PolicyStr: "epoch",
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trs = []*trace.Trace{run.Trace}
+	default:
+		t.Fatalf("unknown golden family %q", family)
 	}
-	for seed := int64(0); seed < 6; seed++ {
-		fams["pso"] = append(fams["pso"], psoTrace(seed))
-	}
-	run, err := workload.BuildKV(workload.KVOptions{
-		Shards: 8, Keys: 4096, Threads: 8, Ops: 2000, ReadFrac: 0.9, ZipfS: 1.1,
-		Policy: journal.PolicyEpoch, Seed: 42, PolicyStr: "epoch",
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fams["kv"] = []*trace.Trace{run.Trace}
-	return fams
+	return trs
 }
 
 // goldenDigests pins the builder's exact output. Each digest chains
@@ -146,13 +154,20 @@ var goldenDigests = []struct {
 	{"kv", core.Strand, 0, "7851d8689a76bd3bbf8db849a4447e8561fbaea52b196ba2b8833cb6385d85da"},
 }
 
-func TestBuildGoldenDigests(t *testing.T) {
-	fams := goldenTraces(t)
+// checkGoldenFamily builds every trace of family under each golden
+// (model, granularity) row for it and compares the chained digest.
+func checkGoldenFamily(t *testing.T, family string) {
+	trs := goldenTraces(t, family)
+	rows := 0
 	for _, tc := range goldenDigests {
-		t.Run(fmt.Sprintf("%s/%v/gran%d", tc.family, tc.model, tc.gran), func(t *testing.T) {
+		if tc.family != family {
+			continue
+		}
+		rows++
+		t.Run(fmt.Sprintf("%v/gran%d", tc.model, tc.gran), func(t *testing.T) {
 			p := core.Params{Model: tc.model, TrackingGranularity: tc.gran}
 			h := sha256.New()
-			for i, tr := range fams[tc.family] {
+			for i, tr := range trs {
 				g, err := graph.Build(tr, p)
 				if err != nil {
 					t.Fatal(err)
@@ -172,4 +187,17 @@ func TestBuildGoldenDigests(t *testing.T) {
 			}
 		})
 	}
+	if rows == 0 {
+		t.Fatalf("no golden digests for family %q", family)
+	}
 }
+
+// TestBuildGoldenDigests pins Build's exact output on the random traces.
+func TestBuildGoldenDigests(t *testing.T) { checkGoldenFamily(t, "random") }
+
+// TestBuildGoldenDigestsOnPSO pins it on machine-generated PSO traces
+// with multi-word stores crossing block boundaries at granularity 32.
+func TestBuildGoldenDigestsOnPSO(t *testing.T) { checkGoldenFamily(t, "pso") }
+
+// TestBuildGoldenDigestsOnKV pins it on the KV serving trace.
+func TestBuildGoldenDigestsOnKV(t *testing.T) { checkGoldenFamily(t, "kv") }
