@@ -40,6 +40,7 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -233,6 +234,35 @@ func (r *RecoveryReport) Detected() bool {
 // to the coarser salvage heuristics.
 func (r *RecoveryReport) DetectedByIntegrity() bool {
 	return r.CRCDetected > 0 || r.CDBDetected > 0
+}
+
+// CorruptionError is a recovery-correctness violation: the image holds
+// evidence of corruption, so strict recovery refuses it. Reason is the
+// first note of the salvage report that detected it.
+type CorruptionError struct {
+	Reason string
+}
+
+// Error implements error.
+func (e *CorruptionError) Error() string { return "corrupt: " + e.Reason }
+
+// IsCorruption reports whether err is (or wraps) a CorruptionError.
+func IsCorruption(err error) bool {
+	var ce *CorruptionError
+	return errors.As(err, &ce)
+}
+
+// Err is the strict-recovery policy over a salvage report: nil when
+// the report is clean (Detected is false), otherwise a CorruptionError
+// naming the first detection.
+func (r *RecoveryReport) Err() error {
+	if !r.Detected() {
+		return nil
+	}
+	if len(r.Notes) == 0 {
+		return &CorruptionError{Reason: r.String()}
+	}
+	return &CorruptionError{Reason: r.Notes[0]}
 }
 
 // maxNotes bounds the notes a report accumulates.

@@ -1,8 +1,11 @@
 package fault
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -237,5 +240,34 @@ func TestRecoveryReport(t *testing.T) {
 	r.Merge(h)
 	if !r.HeaderQuarantined || r.Quarantined != 1 {
 		t.Fatalf("merge: %+v", r)
+	}
+}
+
+func TestRecoveryReportErr(t *testing.T) {
+	var r RecoveryReport
+	r.DiscardedRecords = 3 // an uncommitted tail is not corruption
+	if err := r.Err(); err != nil {
+		t.Fatalf("clean report: Err() = %v", err)
+	}
+	r.Quarantined++
+	r.Note("record at offset %d: %s", 64, "checksum mismatch")
+	r.Note("second note")
+	err := r.Err()
+	if !IsCorruption(err) {
+		t.Fatalf("detected report: Err() = %v, want corruption", err)
+	}
+	if want := "corrupt: record at offset 64: checksum mismatch"; err.Error() != want {
+		t.Fatalf("Err() = %q, want %q", err.Error(), want)
+	}
+	if !IsCorruption(fmt.Errorf("shard 1: %w", err)) {
+		t.Fatal("wrapped corruption not recognized")
+	}
+	if IsCorruption(nil) || IsCorruption(errors.New("bad metadata")) {
+		t.Fatal("non-corruption recognized as corruption")
+	}
+	// A detection without a note still yields a reason: the summary.
+	h := RecoveryReport{HeaderQuarantined: true}
+	if err := h.Err(); !IsCorruption(err) || !strings.Contains(err.Error(), "HEADER QUARANTINED") {
+		t.Fatalf("noteless detection: Err() = %v", err)
 	}
 }

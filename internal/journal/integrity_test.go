@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/memory"
 )
 
@@ -78,7 +79,7 @@ func TestTableBlockFlipSilentLegacyDetectedWithIntegrity(t *testing.T) {
 
 	im, meta = build(true)
 	flip(im, meta)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
+	if _, err := Recover(im, meta); !fault.IsCorruption(err) {
 		t.Fatalf("strict integrity recovery accepted a corrupt block: %v", err)
 	}
 	_, rep, err = RecoverSalvage(im, meta)
@@ -104,7 +105,7 @@ func TestIntegrityCommitPointerFlipDetected(t *testing.T) {
 	}
 	a := meta.CommittedHead + valOff
 	im.WriteWord(a, im.ReadWord(a)^(1<<7))
-	if _, err := Recover(im, meta); !IsCorruption(err) {
+	if _, err := Recover(im, meta); !fault.IsCorruption(err) {
 		t.Fatalf("strict recovery accepted a corrupt commit pointer: %v", err)
 	}
 	_, rep, err := RecoverSalvage(im, meta)

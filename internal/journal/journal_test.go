@@ -3,9 +3,11 @@ package journal
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/memory"
 	"repro/internal/trace"
 )
@@ -148,6 +150,18 @@ func TestUpdateValidation(t *testing.T) {
 	mustPanic("bad size", func() { st.Update(s, []Write{{Block: 0, Data: []byte("short")}}) })
 }
 
+// wantCorruption fails unless err is a recovery corruption whose text
+// names reason.
+func wantCorruption(t *testing.T, err error, reason string) {
+	t.Helper()
+	if !fault.IsCorruption(err) {
+		t.Fatalf("want corruption (%s), got %v", reason, err)
+	}
+	if !strings.Contains(err.Error(), reason) {
+		t.Fatalf("corruption %q does not name its reason %q", err, reason)
+	}
+}
+
 func TestRecoverDetectsCorruption(t *testing.T) {
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
@@ -158,25 +172,53 @@ func TestRecoverDetectsCorruption(t *testing.T) {
 	// Checksum damage below the committed head.
 	im := m.PersistentImage()
 	im.WriteWord(meta.Journal+24, 0xbad)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
-	}
+	_, err := Recover(im, meta)
+	wantCorruption(t, err, "checksum mismatch")
 	// Checkpoint beyond committed head.
 	im = m.PersistentImage()
 	im.WriteWord(meta.Checkpoint, im.ReadWord(meta.CommittedHead)+64)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
-	}
+	_, err = Recover(im, meta)
+	wantCorruption(t, err, "implausible committed")
 	// Oversized window.
 	im = m.PersistentImage()
 	im.WriteWord(meta.CommittedHead, meta.JournalBytes*3)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
-	}
+	_, err = Recover(im, meta)
+	wantCorruption(t, err, "implausible committed")
 	// Bad metadata.
-	if _, err := Recover(memory.NewImage(), Meta{}); err == nil {
-		t.Fatal("bad meta accepted")
+	if _, err := Recover(memory.NewImage(), Meta{}); err == nil || fault.IsCorruption(err) {
+		t.Fatalf("bad meta: want a non-corruption error, got %v", err)
 	}
+}
+
+// committedImage returns the image and layout of a store holding one
+// committed transaction.
+func committedImage(t *testing.T) (*memory.Image, Meta) {
+	t.Helper()
+	m := exec.NewMachine(exec.Config{})
+	s := m.SetupThread()
+	st := MustNew(s, Config{Blocks: 4, JournalBytes: 1 << 12, Policy: PolicyEpoch})
+	st.Update(s, groupWrites(0, 5))
+	return m.PersistentImage(), st.Meta()
+}
+
+// TestRecoverDetectsTornCheckpoint pins a torn (misaligned) checkpoint
+// as corruption. A parse that trusts it reads the first record at a
+// misaligned address and panics.
+func TestRecoverDetectsTornCheckpoint(t *testing.T) {
+	im, meta := committedImage(t)
+	im.WriteWord(meta.Checkpoint, 4)
+	_, err := Recover(im, meta)
+	wantCorruption(t, err, "implausible committed")
+}
+
+// TestRecoverDetectsPoisonedTableBlock pins a media error in a table
+// block as corruption: recovery returns the block's in-place content,
+// which a poisoned word makes untrustworthy.
+func TestRecoverDetectsPoisonedTableBlock(t *testing.T) {
+	im, meta := committedImage(t)
+	im.Poison(meta.Table + BlockBytes + 8)
+	_, err := Recover(im, meta)
+	wantCorruption(t, err, "table block 1 poisoned")
 }
 
 func TestUncommittedTailIgnored(t *testing.T) {

@@ -1,10 +1,6 @@
 package journal
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-
 	"repro/internal/durable"
 	"repro/internal/memory"
 )
@@ -14,7 +10,8 @@ import (
 // persistent CommittedHead. Everything below CommittedHead must parse
 // and verify — the commit point only advances after its records
 // persisted — so any invalid record in that window is a recovery
-// correctness violation.
+// correctness violation. RecoverSalvage (salvage.go) is the one parse
+// of the format; Recover is its strict policy.
 
 // State is the recovered store.
 type State struct {
@@ -29,118 +26,15 @@ type State struct {
 // Block returns block i's recovered content.
 func (s *State) Block(i int) []byte { return s.Table[i] }
 
-// CorruptionError reports a recovery-correctness violation.
-type CorruptionError struct {
-	Offset uint64
-	Reason string
-}
-
-// Error implements error.
-func (e *CorruptionError) Error() string {
-	return fmt.Sprintf("journal: corrupt at offset %d: %s", e.Offset, e.Reason)
-}
-
-// IsCorruption reports whether err is a journal corruption.
-func IsCorruption(err error) bool {
-	var ce *CorruptionError
-	return errors.As(err, &ce)
-}
-
-// Recover rebuilds the table from a post-crash image.
+// Recover rebuilds the table from a post-crash image. It returns a
+// *fault.CorruptionError if salvage recovery detects any corruption.
 func Recover(im *memory.Image, meta Meta) (*State, error) {
-	if meta.Blocks <= 0 || meta.JournalBytes == 0 || meta.JournalBytes%64 != 0 {
-		return nil, fmt.Errorf("journal: bad recovery metadata")
+	st, rep, err := RecoverSalvage(im, meta)
+	if err != nil {
+		return nil, err
 	}
-	st := &State{Table: make([][]byte, meta.Blocks)}
-	for i := 0; i < meta.Blocks; i++ {
-		b := make([]byte, BlockBytes)
-		im.ReadBytes(meta.Table+memory.Addr(i*BlockBytes), b)
-		st.Table[i] = b
-	}
-
-	var committed, pos uint64
-	if meta.Integrity {
-		// Strict recovery verifies clean crash states: any integrity
-		// detection in the pointer words is itself a violation here.
-		hr := durable.ReadWord(im, meta.CommittedHead)
-		cr := durable.ReadWord(im, meta.Checkpoint)
-		if !hr.OK || hr.Detected() {
-			return nil, &CorruptionError{Offset: 0, Reason: "committed-head word corrupt"}
-		}
-		if !cr.OK || cr.Detected() {
-			return nil, &CorruptionError{Offset: 0, Reason: "checkpoint word corrupt"}
-		}
-		committed, pos = hr.Val, cr.Val
-	} else {
-		committed = im.ReadWord(meta.CommittedHead)
-		pos = im.ReadWord(meta.Checkpoint)
-	}
-	if pos > committed {
-		return nil, &CorruptionError{Offset: pos, Reason: fmt.Sprintf("checkpoint %d beyond committed head %d", pos, committed)}
-	}
-	if committed-pos > meta.JournalBytes {
-		return nil, &CorruptionError{Offset: committed, Reason: fmt.Sprintf("live journal window %d exceeds ring %d", committed-pos, meta.JournalBytes)}
-	}
-
-	txns := make(map[uint64]bool)
-	redone := make(map[uint64]bool)
-	for pos < committed {
-		idx := pos % meta.JournalBytes
-		base := meta.Journal + memory.Addr(idx)
-		kind := im.ReadWord(base)
-		if kind == wrapKind {
-			pos += meta.JournalBytes - idx
-			continue
-		}
-		if idx+recordBytes > meta.JournalBytes {
-			return nil, &CorruptionError{Offset: pos, Reason: "record straddles the ring end"}
-		}
-		var txn, blk uint64
-		var data []byte
-		if meta.Integrity {
-			payload, ok := durable.OpenFrame(im, base, pos, recordPayloadBytes)
-			if !ok || len(payload) != recordPayloadBytes {
-				return nil, &CorruptionError{Offset: pos, Reason: "record frame CRC mismatch below committed head"}
-			}
-			txn = binary.LittleEndian.Uint64(payload[0:8])
-			blk = binary.LittleEndian.Uint64(payload[8:16])
-			data = payload[16:]
-		} else {
-			if kind != kindData {
-				return nil, &CorruptionError{Offset: pos, Reason: fmt.Sprintf("bad record kind %#x below committed head", kind)}
-			}
-			txn = im.ReadWord(base + 8)
-			blk = im.ReadWord(base + 16)
-			data = make([]byte, BlockBytes)
-			im.ReadBytes(base+24, data)
-			if im.ReadWord(base+24+BlockBytes) != recordChecksum(pos, txn, blk, data) {
-				return nil, &CorruptionError{Offset: pos, Reason: "record checksum mismatch below committed head"}
-			}
-		}
-		if blk >= uint64(meta.Blocks) {
-			return nil, &CorruptionError{Offset: pos, Reason: fmt.Sprintf("record block %d out of range", blk)}
-		}
-		copy(st.Table[blk], data)
-		st.Records++
-		txns[txn] = true
-		redone[blk] = true
-		pos += recordBytes
-	}
-	st.Txns = len(txns)
-	if meta.Integrity {
-		// Blocks outside the redo window must match their shadow
-		// checksums: their last apply and shadow write were both bound
-		// before the truncation that retired their records. (Blocks
-		// inside the window may be mid-apply; the redo above already
-		// restored them from verified records.)
-		for i := 0; i < meta.Blocks; i++ {
-			if redone[uint64(i)] {
-				continue
-			}
-			if shadowMismatch(im, meta, i) {
-				return nil, &CorruptionError{Offset: uint64(i), Reason: fmt.Sprintf("table block %d shadow checksum mismatch", i)}
-			}
-		}
+	if err := rep.Err(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }

@@ -9,16 +9,17 @@ import (
 	"repro/internal/memory"
 )
 
-// RecoverSalvage is the fault-tolerant counterpart of Recover.
+// RecoverSalvage is the one parse of the journal format.
 //
-// Recover fails on the first invalid record below CommittedHead — the
-// right contract when crash states are clean cuts and any invalid
-// committed record proves an annotation bug. On a faulty device a
-// record can be torn or bit-rotted individually; records are
-// fixed-size, so the scan resynchronizes trivially at the next slot.
-// A quarantined record leaves its table block un-redone (possibly
-// stale or torn in place) — that degradation is exactly what the
-// report discloses; a later valid record for the same block heals it.
+// It redoes every record below CommittedHead that verifies. On a
+// faulty device a record can be torn or bit-rotted individually;
+// records are fixed-size, so the scan resynchronizes trivially at the
+// next slot. A quarantined record leaves its table block un-redone
+// (possibly stale or torn in place) — that degradation is exactly what
+// the report discloses; a later valid record for the same block heals
+// it. Every detection leaves a note naming its reason; strict Recover
+// (recover.go) is this parse plus the policy that any detection is a
+// recovery-correctness violation.
 func RecoverSalvage(im *memory.Image, meta Meta) (*State, fault.RecoveryReport, error) {
 	var rep fault.RecoveryReport
 	if meta.Blocks <= 0 || meta.JournalBytes == 0 || meta.JournalBytes%64 != 0 {
@@ -93,6 +94,7 @@ func RecoverSalvage(im *memory.Image, meta Meta) (*State, fault.RecoveryReport, 
 				rep.Note("corrupt wrap marker at offset %d", pos)
 			} else if im.Poisoned(base) {
 				rep.PoisonedWords++
+				rep.Note("wrap marker at offset %d poisoned", pos)
 			}
 			rep.BytesScanned += memory.WordSize
 			pos += meta.JournalBytes - idx

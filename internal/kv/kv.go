@@ -253,25 +253,22 @@ func (s *State) decodeShard(m Meta, shard int, js *journal.State) error {
 
 // Recover rebuilds the store from a post-crash image: every shard's
 // journal replays independently, then each table decodes under the
-// key-placement invariant.
+// key-placement invariant. It is RecoverSalvage under the strict
+// policy: any detected corruption is a *fault.CorruptionError.
 func Recover(im *memory.Image, m Meta) (*State, error) {
-	st := &State{Entries: make(map[uint64][2]uint64)}
-	for i, sm := range m.Shards {
-		js, err := journal.Recover(im, sm)
-		if err != nil {
-			return nil, fmt.Errorf("kv: shard %d: %w", i, err)
-		}
-		if err := st.decodeShard(m, i, js); err != nil {
-			return nil, err
-		}
+	st, rep, err := RecoverSalvage(im, m)
+	if err != nil {
+		return nil, err
+	}
+	if err := rep.Err(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
 
-// RecoverSalvage is Recover in detect-and-discard mode: per-shard
-// salvage reports aggregate, and decode violations count as discarded
-// shards rather than hard failures only when salvage already flagged
-// the shard.
+// RecoverSalvage replays every shard in detect-and-discard mode: the
+// per-shard salvage reports aggregate, and a table block whose key tag
+// breaks the placement invariant fails recovery.
 func RecoverSalvage(im *memory.Image, m Meta) (*State, fault.RecoveryReport, error) {
 	var rep fault.RecoveryReport
 	st := &State{Entries: make(map[uint64][2]uint64)}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/queue"
 )
 
@@ -38,7 +39,7 @@ func TestAdversarialFindsBrokenBarrierDeterministically(t *testing.T) {
 	if out.AllRecovered() {
 		t.Fatal("adversarial sweep missed the broken barrier")
 	}
-	if !queue.IsCorruption(out.FirstCorruption) {
+	if !fault.IsCorruption(out.FirstCorruption) {
 		t.Fatalf("unexpected corruption type: %v", out.FirstCorruption)
 	}
 }

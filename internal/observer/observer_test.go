@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/memory"
 	"repro/internal/queue"
@@ -82,7 +83,7 @@ func TestBrokenDataHeadOrderIsCaught(t *testing.T) {
 	if corr == nil {
 		t.Fatal("removing the data→head barrier should be catchable")
 	}
-	if !queue.IsCorruption(corr) {
+	if !fault.IsCorruption(corr) {
 		t.Fatalf("unexpected error type: %v", corr)
 	}
 }
@@ -298,7 +299,7 @@ func TestOutcomeString(t *testing.T) {
 		t.Fatal("outcome formatting")
 	}
 	o.Corrupt = 1
-	o.FirstCorruption = &queue.CorruptionError{Offset: 1, Reason: "x"}
+	o.FirstCorruption = &fault.CorruptionError{Reason: "x"}
 	if o.AllRecovered() {
 		t.Fatal("AllRecovered with corrupt > 0")
 	}

@@ -30,9 +30,12 @@ type readEv struct {
 // on the path so far) and branches on its value. Recovery is a
 // deterministic function of the words it reads, so two images that
 // agree on a complete root-to-leaf path share the leaf's outcome
-// without re-running recovery. Reads of words the recovery itself
-// wrote are excluded from signatures — their values are implied by
-// the pristine reads before them.
+// without re-running recovery. Only the first read of each word
+// enters a signature, and reads of words the recovery itself wrote
+// are excluded — their values are implied by the pristine reads
+// before them. (Strict and checked recovery run the same parse, so
+// without the first-read rule every signature would hold each read
+// twice.)
 //
 // The trie is a pure cache shared across sweep workers (mutex-guarded,
 // recoveries run unlocked): outcomes are a function of the image, so
@@ -125,17 +128,18 @@ func execClassify(img []wordVal, strict observer.RecoverFunc, checked observer.C
 	for _, wv := range img {
 		im.WriteWord(wv.addr, wv.val)
 	}
-	// Words the recovery itself wrote (salvage repairs): reads of
-	// those are implied by earlier pristine reads and are excluded
-	// from the signature.
-	written := intervals.NewSet[memory.Addr]()
+	// Words already read, or written by the recovery itself (salvage
+	// repairs): their values are implied by earlier pristine reads, so
+	// only a word's first pristine read enters the signature.
+	known := intervals.NewSet[memory.Addr]()
 	var seq []readEv
 	im.Observe(func(a memory.Addr, v uint64) {
-		if !written.Contains(a) {
+		if !known.Contains(a) {
+			known.Insert(a, a+memory.WordSize)
 			seq = append(seq, readEv{addr: a, val: v})
 		}
 	}, func(a memory.Addr) {
-		written.Insert(a, a+memory.WordSize)
+		known.Insert(a, a+memory.WordSize)
 	})
 	sErr := strict(im)
 	_, cErr := checked(im)

@@ -20,12 +20,8 @@ type fixture struct {
 	omitRecipe, integrity, sparse   bool
 }
 
-// buildRun traces a workload fixture for checking and returns its
-// target model alongside. The returned Options are zero for kv
-// fixtures (they parameterize differently and seed no broken
-// variants, so nothing downstream needs their repro params).
-func buildRun(t *testing.T, fx fixture) (*workload.Run, workload.Options, core.Model) {
-	t.Helper()
+// withDefaults fills the fixture fields left zero.
+func (fx fixture) withDefaults() fixture {
 	if fx.design == "" {
 		fx.design = "cwl"
 	}
@@ -35,6 +31,19 @@ func buildRun(t *testing.T, fx fixture) (*workload.Run, workload.Options, core.M
 	if fx.seed == 0 {
 		fx.seed = 1
 	}
+	if fx.wl == "kv" && fx.readFrac == 0 {
+		fx.readFrac = 0.75
+	}
+	return fx
+}
+
+// buildRun traces a workload fixture for checking and returns its
+// target model alongside. The returned Options are zero for kv
+// fixtures (they parameterize differently and seed no broken
+// variants, so nothing downstream needs their repro params).
+func buildRun(t *testing.T, fx fixture) (*workload.Run, workload.Options, core.Model) {
+	t.Helper()
+	fx = fx.withDefaults()
 	design, err := workload.ParseDesign(fx.design)
 	if err != nil {
 		t.Fatal(err)
@@ -48,9 +57,6 @@ func buildRun(t *testing.T, fx fixture) (*workload.Run, workload.Options, core.M
 		jp, err := workload.JournalPolicy(policy)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if fx.readFrac == 0 {
-			fx.readFrac = 0.75
 		}
 		run, err := workload.BuildKV(workload.KVOptions{
 			Shards: 2, Keys: 8, Threads: fx.threads, Ops: fx.inserts,

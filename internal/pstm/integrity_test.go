@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/memory"
 )
 
@@ -82,7 +83,7 @@ func TestDataWordFlipSilentLegacyDetectedWithIntegrity(t *testing.T) {
 
 	im, meta = buildImageFmt(t, true)
 	flip(im, meta)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
+	if _, err := Recover(im, meta); !fault.IsCorruption(err) {
 		t.Fatalf("strict integrity recovery accepted a corrupt data word: %v", err)
 	}
 	_, rep, err = RecoverSalvage(im, meta)
@@ -108,7 +109,7 @@ func TestIntegrityArmedWordFlipDetected(t *testing.T) {
 	}
 	a := meta.TxnID + valOff
 	im.WriteWord(a, im.ReadWord(a)^(1<<40))
-	if _, err := Recover(im, meta); !IsCorruption(err) {
+	if _, err := Recover(im, meta); !fault.IsCorruption(err) {
 		t.Fatalf("strict recovery accepted a corrupt armed word: %v", err)
 	}
 	st, rep, err := RecoverSalvage(im, meta)
@@ -157,7 +158,7 @@ func TestIntegrityUndoFrameFlipBelowCountDetected(t *testing.T) {
 	// Flip one bit inside the newest undo frame's payload.
 	a := meta.Undo + memory.Addr(recordBytes) + 8
 	im.WriteWord(a, im.ReadWord(a)^(1<<9))
-	if _, err := Recover(im, meta); !IsCorruption(err) {
+	if _, err := Recover(im, meta); !fault.IsCorruption(err) {
 		t.Fatalf("strict recovery treated a corrupt frame below count as a frontier: %v", err)
 	}
 	_, rep, err := RecoverSalvage(im, meta)

@@ -2,9 +2,11 @@ package pstm
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/memory"
 )
 
@@ -147,8 +149,49 @@ func TestRecoverValidation(t *testing.T) {
 	im := m.PersistentImage()
 	// Seal beyond armed id.
 	im.WriteWord(h.Meta().Done, 99)
-	if _, err := Recover(im, h.Meta()); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
+	_, err := Recover(im, h.Meta())
+	wantCorruption(t, err, "seal 99 beyond armed id")
+}
+
+// wantCorruption fails unless err is a recovery corruption whose text
+// names reason.
+func wantCorruption(t *testing.T, err error, reason string) {
+	t.Helper()
+	if !fault.IsCorruption(err) {
+		t.Fatalf("want corruption (%s), got %v", reason, err)
+	}
+	if !strings.Contains(err.Error(), reason) {
+		t.Fatalf("corruption %q does not name its reason %q", err, reason)
+	}
+}
+
+// TestRecoverDetectsSalvageFindings pins images a parse that ignores
+// poison and takes the first invalid undo record for the arming
+// frontier would accept: each is corruption, named by its reason.
+func TestRecoverDetectsSalvageFindings(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(im *memory.Image, meta Meta)
+		reason  string
+	}{
+		// Recovery would serve the untouched word's in-place value.
+		{"poisoned data word", func(im *memory.Image, meta Meta) { im.Poison(meta.Data + 3*8) },
+			"data word 3 poisoned"},
+		// Records persist in slot order: a valid record 1 proves record
+		// 0 was written, so it is torn, not the frontier.
+		{"torn first undo record", func(im *memory.Image, meta Meta) { im.WriteWord(meta.Undo+8, 0xFFFF) },
+			"undo record 0 torn"},
+		// Past the last valid record a poisoned slot costs no rollback,
+		// but the media error is still disclosed.
+		{"poisoned undo slot past the frontier", func(im *memory.Image, meta Meta) { im.Poison(meta.Undo + 3*recordBytes) },
+			"undo record 3 poisoned"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			im, meta := salvageImage()
+			tc.corrupt(im, meta)
+			_, err := Recover(im, meta)
+			wantCorruption(t, err, tc.reason)
+		})
 	}
 }
 

@@ -1,10 +1,6 @@
 package pstm
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-
 	"repro/internal/durable"
 	"repro/internal/memory"
 )
@@ -13,7 +9,8 @@ import (
 // valid undo records. Records are self-validating; a record whose
 // checksum fails marks the arming frontier (nothing at or beyond it
 // reached the in-place stage, because each in-place store is ordered
-// after its record by a barrier).
+// after its record by a barrier). RecoverSalvage (salvage.go) is the
+// one parse of the format; Recover is its strict policy.
 
 // State is the recovered heap.
 type State struct {
@@ -25,109 +22,15 @@ type State struct {
 	Undone int
 }
 
-// CorruptionError reports a recovery-correctness violation.
-type CorruptionError struct {
-	Reason string
-}
-
-// Error implements error.
-func (e *CorruptionError) Error() string { return "pstm: corrupt: " + e.Reason }
-
-// IsCorruption reports whether err is a pstm corruption.
-func IsCorruption(err error) bool {
-	var ce *CorruptionError
-	return errors.As(err, &ce)
-}
-
-// Recover rebuilds the heap from a post-crash image.
+// Recover rebuilds the heap from a post-crash image. It returns a
+// *fault.CorruptionError if salvage recovery detects any corruption.
 func Recover(im *memory.Image, meta Meta) (*State, error) {
-	if meta.Words <= 0 || meta.UndoCap <= 0 {
-		return nil, fmt.Errorf("pstm: bad recovery metadata")
+	st, rep, err := RecoverSalvage(im, meta)
+	if err != nil {
+		return nil, err
 	}
-	st := &State{Words: make([]uint64, meta.Words)}
-	for i := 0; i < meta.Words; i++ {
-		st.Words[i] = im.ReadWord(meta.Data + memory.Addr(i*8))
-	}
-	var armed, done uint64
-	count := -1 // integrity: explicit record count; legacy: scan frontier
-	if meta.Integrity {
-		// Strict recovery verifies clean crash states: any integrity
-		// detection in the arm or seal words is itself a violation here.
-		ar := durable.ReadWord(im, meta.TxnID)
-		dr := durable.ReadWord(im, meta.Done)
-		if !ar.OK || ar.Detected() {
-			return nil, &CorruptionError{Reason: "armed word corrupt"}
-		}
-		if !dr.OK || dr.Detected() {
-			return nil, &CorruptionError{Reason: "seal word corrupt"}
-		}
-		armed, count = armedSplit(ar.Val)
-		done = dr.Val
-		if count > meta.UndoCap {
-			return nil, &CorruptionError{Reason: fmt.Sprintf("record count %d exceeds undo capacity %d", count, meta.UndoCap)}
-		}
-	} else {
-		armed = im.ReadWord(meta.TxnID)
-		done = im.ReadWord(meta.Done)
-	}
-	if done > armed {
-		return nil, &CorruptionError{Reason: fmt.Sprintf("seal %d beyond armed id %d", done, armed)}
-	}
-	rolledBack := make([]bool, meta.Words)
-	if armed != 0 && done != armed {
-		// Roll back transaction `armed`, newest record first. The legacy
-		// format stops at the first invalid checksum (the arming
-		// frontier); the integrity format knows the exact record count,
-		// so every frame below it must open — an unopenable one is
-		// detected corruption, never a frontier.
-		limit := meta.UndoCap
-		if count >= 0 {
-			limit = count
-		}
-		var recs [][2]uint64 // (word, old)
-		for k := 0; k < limit; k++ {
-			rec := meta.Undo + memory.Addr(k*recordBytes)
-			var w, old uint64
-			if meta.Integrity {
-				payload, ok := durable.OpenFrame(im, rec, recSalt(armed, k), recordPayloadBytes)
-				if !ok || len(payload) != recordPayloadBytes {
-					return nil, &CorruptionError{Reason: fmt.Sprintf("undo record %d below count %d fails its frame CRC", k, count)}
-				}
-				w = binary.LittleEndian.Uint64(payload[0:8])
-				old = binary.LittleEndian.Uint64(payload[8:16])
-			} else {
-				w = im.ReadWord(rec)
-				old = im.ReadWord(rec + 8)
-				if im.ReadWord(rec+16) != recChecksum(armed, k, w, old) {
-					break // arming frontier
-				}
-			}
-			if w >= uint64(meta.Words) {
-				return nil, &CorruptionError{Reason: fmt.Sprintf("undo record %d targets word %d out of range", k, w)}
-			}
-			recs = append(recs, [2]uint64{w, old})
-		}
-		for k := len(recs) - 1; k >= 0; k-- {
-			st.Words[recs[k][0]] = recs[k][1]
-			rolledBack[recs[k][0]] = true
-		}
-		st.RolledBack = len(recs) > 0
-		st.Undone = len(recs)
-	}
-	if meta.Integrity {
-		// Every word the in-flight transaction did not touch must match
-		// its shadow checksum: the shadow is written next to each
-		// in-place store, and a sealed transaction bound both before its
-		// seal. (Rolled-back words were restored from verified frames;
-		// their in-place state is legitimately mid-flight.)
-		for i := 0; i < meta.Words; i++ {
-			if rolledBack[i] {
-				continue
-			}
-			if shadowMismatch(im, meta, i) {
-				return nil, &CorruptionError{Reason: fmt.Sprintf("data word %d shadow checksum mismatch", i)}
-			}
-		}
+	if err := rep.Err(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }

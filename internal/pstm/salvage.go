@@ -9,18 +9,19 @@ import (
 	"repro/internal/memory"
 )
 
-// RecoverSalvage is the fault-tolerant counterpart of Recover.
+// RecoverSalvage is the one parse of the pstm format.
 //
-// Plain Recover stops at the first undo record whose checksum fails
-// and calls it the arming frontier — correct for clean crash states,
-// where records persist strictly in slot order. A faulty device can
-// tear record k while record k+1 survives; treating k as the frontier
-// would silently skip k+1's rollback. RecoverSalvage therefore scans
-// every slot: invalid slots *below the last valid slot* are torn
-// current-transaction records (quarantined, rollback degraded to
-// best-effort), while invalid slots beyond the last valid one are the
-// normal arming frontier. In clean states the two scans agree exactly,
-// so salvage reports are clean wherever Recover succeeds.
+// A clean crash state tears nothing: records persist strictly in slot
+// order, so the first undo record whose checksum fails is the arming
+// frontier. A faulty device can tear record k while record k+1
+// survives; treating k as the frontier would silently skip k+1's
+// rollback. RecoverSalvage therefore scans every slot: invalid slots
+// *below the last valid slot* are torn current-transaction records
+// (quarantined, rollback degraded to best-effort), while invalid slots
+// beyond the last valid one are the normal arming frontier. Every
+// detection leaves a note naming its reason; strict Recover
+// (recover.go) is this parse plus the policy that any detection is a
+// recovery-correctness violation.
 //
 // Under the integrity format the arm and seal are durable words
 // (detections land in the report), records are CRC64 frames, and every
@@ -171,6 +172,13 @@ func RecoverSalvage(im *memory.Image, meta Meta) (*State, fault.RecoveryReport, 
 				} else {
 					rep.Note("undo record %d torn; rollback incomplete", k)
 				}
+			}
+		}
+		// Poisoned slots past it cost no rollback but are still
+		// disclosed (counted in PoisonedWords above).
+		for k := last + 1; k < meta.UndoCap; k++ {
+			if poisoned[k] {
+				rep.Note("undo record %d poisoned past the arming frontier", k)
 			}
 		}
 		// Best-effort rollback, newest first.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/memory"
 )
 
@@ -75,7 +76,7 @@ func TestIntegrityHeadCopyFlipDetected(t *testing.T) {
 	}
 	a := meta.Head + valOff
 	im.WriteWord(a, im.ReadWord(a)^SlotBytes(24))
-	if _, err := Recover(im, meta); !IsCorruption(err) {
+	if _, err := Recover(im, meta); !fault.IsCorruption(err) {
 		t.Fatalf("strict recovery accepted a corrupt head copy: %v", err)
 	}
 	entries, rep, err := RecoverSalvage(im, meta)

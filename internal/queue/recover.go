@@ -1,10 +1,6 @@
 package queue
 
 import (
-	"errors"
-	"fmt"
-
-	"repro/internal/durable"
 	"repro/internal/memory"
 )
 
@@ -14,7 +10,8 @@ import (
 // encompasses its slot. Every entry between tail and head must
 // therefore be fully intact; anything else means the persistency
 // model's ordering constraints were violated (or mis-annotated), and
-// Recover reports it as corruption.
+// Recover reports it as corruption. RecoverSalvage (salvage.go) is the
+// one parse of the format; Recover is its strict policy.
 
 // Entry is one recovered queue entry.
 type Entry struct {
@@ -24,91 +21,16 @@ type Entry struct {
 	Payload []byte
 }
 
-// CorruptionError describes a recovery-correctness violation: the head
-// pointer encompasses data that never fully persisted.
-type CorruptionError struct {
-	Offset uint64
-	Reason string
-}
-
-// Error implements error.
-func (e *CorruptionError) Error() string {
-	return fmt.Sprintf("queue: corrupt entry at offset %d: %s", e.Offset, e.Reason)
-}
-
-// IsCorruption reports whether err is a recovery corruption.
-func IsCorruption(err error) bool {
-	var ce *CorruptionError
-	return errors.As(err, &ce)
-}
-
 // Recover parses the live entries ([tail, head)) out of a post-crash
 // image. It returns the recovered entries in order, or a
-// CorruptionError if the image violates recovery correctness.
+// *fault.CorruptionError if salvage recovery detects any corruption.
 func Recover(im *memory.Image, meta Meta) ([]Entry, error) {
-	if meta.DataBytes == 0 || meta.DataBytes%SlotAlign != 0 {
-		return nil, fmt.Errorf("queue: bad recovery metadata: data bytes %d", meta.DataBytes)
+	entries, rep, err := RecoverSalvage(im, meta)
+	if err != nil {
+		return nil, err
 	}
-	var head, tail uint64
-	if meta.Integrity {
-		// Strict recovery verifies annotations against clean crash
-		// states: any integrity detection in the pointer words is itself
-		// a violation here (the salvage path is where fallback belongs).
-		hr := durable.ReadWord(im, meta.Head)
-		tr := durable.ReadWord(im, meta.Tail)
-		if !hr.OK || hr.Detected() {
-			return nil, &CorruptionError{Offset: 0, Reason: "head word corrupt"}
-		}
-		if !tr.OK || tr.Detected() {
-			return nil, &CorruptionError{Offset: 0, Reason: "tail word corrupt"}
-		}
-		head, tail = hr.Val, tr.Val
-	} else {
-		head = im.ReadWord(meta.Head)
-		tail = im.ReadWord(meta.Tail)
+	if err := rep.Err(); err != nil {
+		return nil, err
 	}
-	if tail > head {
-		return nil, &CorruptionError{Offset: tail, Reason: fmt.Sprintf("tail %d beyond head %d", tail, head)}
-	}
-	if head-tail > meta.DataBytes {
-		return nil, &CorruptionError{Offset: head, Reason: fmt.Sprintf("live region %d exceeds capacity %d", head-tail, meta.DataBytes)}
-	}
-	var out []Entry
-	pos := tail
-	for pos < head {
-		idx := pos % meta.DataBytes
-		length := im.ReadWord(meta.Data + memory.Addr(idx))
-		if length == wrapMarker {
-			pos += meta.DataBytes - idx
-			continue
-		}
-		if length == 0 || length > MaxPayload {
-			return nil, &CorruptionError{Offset: pos, Reason: fmt.Sprintf("implausible length %d", length)}
-		}
-		slot := SlotBytes(int(length))
-		if pos+slot > head {
-			return nil, &CorruptionError{Offset: pos, Reason: "entry extends past head"}
-		}
-		if idx+slot > meta.DataBytes {
-			return nil, &CorruptionError{Offset: pos, Reason: "entry straddles wrap point"}
-		}
-		if meta.Integrity {
-			payload, ok := durable.OpenFrame(im, meta.Data+memory.Addr(idx), pos, MaxPayload)
-			if !ok {
-				return nil, &CorruptionError{Offset: pos, Reason: "frame CRC mismatch"}
-			}
-			out = append(out, Entry{Offset: pos, Payload: payload})
-			pos += slot
-			continue
-		}
-		payload := make([]byte, length)
-		im.ReadBytes(meta.Data+memory.Addr(idx)+headerBytes, payload)
-		sum := im.ReadWord(meta.Data + memory.Addr(idx) + memory.Addr(checksumOffset(int(length))))
-		if sum != Checksum(pos, payload) {
-			return nil, &CorruptionError{Offset: pos, Reason: "checksum mismatch"}
-		}
-		out = append(out, Entry{Offset: pos, Payload: payload})
-		pos += slot
-	}
-	return out, nil
+	return entries, nil
 }

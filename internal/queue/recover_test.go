@@ -1,10 +1,13 @@
 package queue
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/memory"
 )
 
@@ -20,13 +23,24 @@ func buildImage(t *testing.T) (*memory.Image, Meta) {
 	return m.PersistentImage(), q.Meta()
 }
 
+// wantCorruption fails unless err is a recovery corruption whose text
+// names reason.
+func wantCorruption(t *testing.T, err error, reason string) {
+	t.Helper()
+	if !fault.IsCorruption(err) {
+		t.Fatalf("want corruption (%s), got %v", reason, err)
+	}
+	if !strings.Contains(err.Error(), reason) {
+		t.Fatalf("corruption %q does not name its reason %q", err, reason)
+	}
+}
+
 func TestRecoverDetectsBadLength(t *testing.T) {
 	im, meta := buildImage(t)
 	// Zero out the third entry's length word.
 	im.WriteWord(meta.Data+memory.Addr(2*SlotBytes(100)), 0)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
-	}
+	_, err := Recover(im, meta)
+	wantCorruption(t, err, "implausible length 0")
 }
 
 func TestRecoverDetectsChecksumMismatch(t *testing.T) {
@@ -37,34 +51,45 @@ func TestRecoverDetectsChecksumMismatch(t *testing.T) {
 	im.ReadBytes(a, b[:])
 	b[0] ^= 0xff
 	im.WriteBytes(a, b[:])
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
-	}
+	_, err := Recover(im, meta)
+	wantCorruption(t, err, "checksum mismatch")
 }
 
 func TestRecoverDetectsTailBeyondHead(t *testing.T) {
 	im, meta := buildImage(t)
 	im.WriteWord(meta.Tail, im.ReadWord(meta.Head)+64)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
-	}
+	_, err := Recover(im, meta)
+	wantCorruption(t, err, "implausible head")
 }
 
 func TestRecoverDetectsOversizedLiveRegion(t *testing.T) {
 	im, meta := buildImage(t)
 	im.WriteWord(meta.Head, meta.DataBytes*2)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
-	}
+	_, err := Recover(im, meta)
+	wantCorruption(t, err, "implausible head")
 }
 
 func TestRecoverDetectsEntryPastHead(t *testing.T) {
 	im, meta := buildImage(t)
-	// Head in the middle of the second entry.
+	// Head slot-aligned but in the middle of the second entry.
+	im.WriteWord(meta.Head, SlotBytes(100)+SlotAlign)
+	_, err := Recover(im, meta)
+	wantCorruption(t, err, "entry extends past head")
+}
+
+// TestRecoverDetectsTornPointers pins torn (misaligned) head and tail
+// words as corruption. A strict parse that trusts the tail reads its
+// first length word at a misaligned address and panics.
+func TestRecoverDetectsTornPointers(t *testing.T) {
+	im, meta := buildImage(t)
+	im.WriteWord(meta.Tail, 2)
+	_, err := Recover(im, meta)
+	wantCorruption(t, err, "head/tail unusable")
+
+	im, meta = buildImage(t)
 	im.WriteWord(meta.Head, SlotBytes(100)+8)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
-	}
+	_, err = Recover(im, meta)
+	wantCorruption(t, err, "head/tail unusable")
 }
 
 func TestRecoverEmptyQueue(t *testing.T) {
@@ -88,15 +113,18 @@ func TestRecoverBadMeta(t *testing.T) {
 }
 
 func TestIsCorruption(t *testing.T) {
-	err := &CorruptionError{Offset: 4, Reason: "x"}
-	if !IsCorruption(err) {
-		t.Fatal("IsCorruption(corruption) = false")
+	im, meta := buildImage(t)
+	im.WriteWord(meta.Data, 0)
+	_, err := Recover(im, meta)
+	var ce *fault.CorruptionError
+	if !errors.As(err, &ce) || !fault.IsCorruption(err) {
+		t.Fatalf("Recover error %v (%T) is not a fault.CorruptionError", err, err)
 	}
-	if IsCorruption(nil) {
+	if fault.IsCorruption(nil) {
 		t.Fatal("IsCorruption(nil) = true")
 	}
-	if err.Error() == "" {
-		t.Fatal("empty error string")
+	if ce.Reason == "" || err.Error() == "" {
+		t.Fatal("corruption without a reason")
 	}
 }
 

@@ -8,19 +8,16 @@ import (
 	"repro/internal/memory"
 )
 
-// Salvage recovery: the fault-tolerant counterpart of Recover.
+// Salvage recovery: the one parse of the queue format.
 //
-// Recover treats any invalid entry under the head pointer as a
-// recovery-correctness violation and fails — the right contract for
-// verifying *annotations* against clean crash states. On faulty
-// devices (torn persists, bit rot), corrupt entries are expected, and
-// failing outright would lose every intact entry behind them.
-// RecoverSalvage instead degrades gracefully: it recovers every entry
-// it can prove intact (checksums bound to the monotonic offset),
-// quarantines entries it can prove corrupt, resynchronizes on the
-// 64-byte slot grid past corrupt regions, and reports everything in a
-// fault.RecoveryReport. Poisoned words (detectable-uncorrectable media
-// errors) are never trusted.
+// RecoverSalvage degrades gracefully rather than failing: it recovers
+// every entry it can prove intact (checksums bound to the monotonic
+// offset), quarantines entries it can prove corrupt, resynchronizes on
+// the 64-byte slot grid past corrupt regions, and reports everything in
+// a fault.RecoveryReport. Poisoned words (detectable-uncorrectable
+// media errors) are never trusted. Every detection leaves a note naming
+// its reason; strict Recover (recover.go) is this parse plus the policy
+// that any detection is a recovery-correctness violation.
 
 // entry-parse status codes for salvageParse.
 const (
@@ -29,48 +26,58 @@ const (
 	entBad
 )
 
+// slot is salvageParse's verdict on one ring slot.
+type slot struct {
+	status int
+	// entry and next are set for entOK; next alone for entWrap.
+	entry Entry
+	next  uint64
+	// why names an entBad failure; poisoned reports that it involved
+	// poisoned media and crcFail an integrity-layer CRC mismatch.
+	why      string
+	poisoned bool
+	crcFail  bool
+}
+
 // salvageParse examines the slot at monotonic offset pos. When
-// trustedHead is true, head bounds the entry's end. On entOK it
-// returns the entry and the next offset; on entWrap only the next
-// offset; on entBad the caller quarantines and resynchronizes.
-// poisoned reports whether the failure involved poisoned media;
-// crcFail reports an integrity-layer CRC mismatch specifically.
-func salvageParse(im *memory.Image, meta Meta, pos, head uint64, trustedHead bool) (e Entry, next uint64, status int, poisoned, crcFail bool) {
+// trustedHead is true, head bounds the entry's end. On entBad the
+// caller quarantines and resynchronizes.
+func salvageParse(im *memory.Image, meta Meta, pos, head uint64, trustedHead bool) slot {
 	idx := pos % meta.DataBytes
 	base := meta.Data + memory.Addr(idx)
 	if im.Poisoned(base) {
-		return Entry{}, 0, entBad, true, false
+		return slot{status: entBad, why: "poisoned length word", poisoned: true}
 	}
 	length := im.ReadWord(base)
 	if length == wrapMarker {
-		return Entry{}, pos + (meta.DataBytes - idx), entWrap, false, false
+		return slot{status: entWrap, next: pos + (meta.DataBytes - idx)}
 	}
 	if length == 0 || length > MaxPayload {
-		return Entry{}, 0, entBad, false, false
+		return slot{status: entBad, why: fmt.Sprintf("implausible length %d", length)}
 	}
-	slot := SlotBytes(int(length))
-	if idx+slot > meta.DataBytes {
-		return Entry{}, 0, entBad, false, false
+	size := SlotBytes(int(length))
+	if idx+size > meta.DataBytes {
+		return slot{status: entBad, why: "entry straddles wrap point"}
 	}
-	if trustedHead && pos+slot > head {
-		return Entry{}, 0, entBad, false, false
+	if trustedHead && pos+size > head {
+		return slot{status: entBad, why: "entry extends past head"}
 	}
-	if im.RangePoisoned(base, int(slot)) {
-		return Entry{}, 0, entBad, true, false
+	if im.RangePoisoned(base, int(size)) {
+		return slot{status: entBad, why: "poisoned entry", poisoned: true}
 	}
 	if meta.Integrity {
 		payload, ok := durable.OpenFrame(im, base, pos, MaxPayload)
 		if !ok {
-			return Entry{}, 0, entBad, false, true
+			return slot{status: entBad, why: "frame CRC mismatch", crcFail: true}
 		}
-		return Entry{Offset: pos, Payload: payload}, pos + slot, entOK, false, false
+		return slot{status: entOK, entry: Entry{Offset: pos, Payload: payload}, next: pos + size}
 	}
 	payload := make([]byte, length)
 	im.ReadBytes(base+headerBytes, payload)
 	if im.ReadWord(base+memory.Addr(checksumOffset(int(length)))) != Checksum(pos, payload) {
-		return Entry{}, 0, entBad, false, false
+		return slot{status: entBad, why: "checksum mismatch"}
 	}
-	return Entry{Offset: pos, Payload: payload}, pos + slot, entOK, false, false
+	return slot{status: entOK, entry: Entry{Offset: pos, Payload: payload}, next: pos + size}
 }
 
 // RecoverSalvage parses as much of the queue as the image supports,
@@ -140,21 +147,21 @@ func RecoverSalvage(im *memory.Image, meta Meta) ([]Entry, fault.RecoveryReport,
 	var out []Entry
 	pos := tail
 	for pos < limit {
-		e, next, status, poisoned, crcFail := salvageParse(im, meta, pos, head, trusted)
-		switch status {
+		sl := salvageParse(im, meta, pos, head, trusted)
+		switch sl.status {
 		case entOK:
-			out = append(out, e)
+			out = append(out, sl.entry)
 			rep.Recovered++
-			rep.BytesScanned += next - pos
-			pos = next
+			rep.BytesScanned += sl.next - pos
+			pos = sl.next
 		case entWrap:
 			rep.BytesScanned += memory.WordSize
-			pos = next
+			pos = sl.next
 		default: // entBad
-			if poisoned {
+			if sl.poisoned {
 				rep.PoisonedWords++
 			}
-			if crcFail {
+			if sl.crcFail {
 				rep.CRCDetected++
 			}
 			rep.BytesScanned += memory.WordSize
@@ -173,8 +180,9 @@ func RecoverSalvage(im *memory.Image, meta Meta) ([]Entry, fault.RecoveryReport,
 			resynced := false
 			for q := pos + SlotAlign; q < head; q += SlotAlign {
 				rep.BytesScanned += memory.WordSize
-				if _, _, st, _, _ := salvageParse(im, meta, q, head, trusted); st != entBad {
+				if salvageParse(im, meta, q, head, trusted).status != entBad {
 					rep.Dropped += int((q-pos)/SlotAlign) - 1
+					rep.Note("entry at offset %d: %s; resynced at offset %d", pos, sl.why, q)
 					pos, resynced = q, true
 					break
 				}
@@ -183,10 +191,9 @@ func RecoverSalvage(im *memory.Image, meta Meta) ([]Entry, fault.RecoveryReport,
 				if lost := int((head-pos)/SlotAlign) - 1; lost > 0 {
 					rep.Dropped += lost
 				}
-				rep.Note("no resync before head (offset %d)", pos)
+				rep.Note("entry at offset %d: %s; no resync before head", pos, sl.why)
 				return out, rep, nil
 			}
-			rep.Note("resynced at offset %d", pos)
 		}
 	}
 	return out, rep, nil

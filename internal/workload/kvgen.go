@@ -233,15 +233,13 @@ func setupKV(o KVOptions, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 			t.EndWork(uint64(tid)<<32 | uint64(i))
 		}
 	}
+	checked := func(im *memory.Image) (fault.RecoveryReport, error) {
+		_, rep, err := kv.RecoverSalvage(im, meta)
+		return rep, err
+	}
 	run := &Run{
-		Recover: func(im *memory.Image) error {
-			_, err := kv.Recover(im, meta)
-			return err
-		},
-		Checked: func(im *memory.Image) (fault.RecoveryReport, error) {
-			_, rep, err := kv.RecoverSalvage(im, meta)
-			return rep, err
-		},
+		Recover:   strictOf(checked),
+		Checked:   checked,
 		Checks:    meta.Checks(),
 		SiteLabel: meta.SiteLabel(),
 		Describe: fmt.Sprintf("sharded kv, %v annotations, %d shards, %d keys, %d threads, %d ops (%.0f%% reads, zipf %.2f)",

@@ -64,7 +64,8 @@ type Options struct {
 // annotations.
 type Run struct {
 	Trace *trace.Trace
-	// Recover is strict recovery (plain observer).
+	// Recover is strict recovery (plain observer): Checked under the
+	// policy that any detected corruption is an error (strictOf).
 	Recover observer.RecoverFunc
 	// Checked is salvage recovery plus app invariants (campaigns).
 	Checked observer.CheckedRecoverFunc
@@ -76,6 +77,19 @@ type Run struct {
 	SiteLabel func(memory.Addr) string
 	// Describe is the human-readable workload summary.
 	Describe string
+}
+
+// strictOf derives strict recovery from checked recovery: an image
+// passes iff salvage succeeds, the app invariants hold on what it
+// recovered, and its report is clean.
+func strictOf(checked observer.CheckedRecoverFunc) observer.RecoverFunc {
+	return func(im *memory.Image) error {
+		rep, err := checked(im)
+		if err != nil {
+			return err
+		}
+		return rep.Err()
+	}
 }
 
 // Params serializes the options into repro-string parameters,
@@ -232,10 +246,6 @@ func setup(o Options, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 				q.Insert(t, queue.MakePayload(uint64(t.TID())<<32|uint64(i), o.Payload))
 			}
 		}
-		run.Recover = func(im *memory.Image) error {
-			_, err := queue.Recover(im, meta)
-			return err
-		}
 		run.Checked = func(im *memory.Image) (fault.RecoveryReport, error) {
 			entries, rep, err := queue.RecoverSalvage(im, meta)
 			if err != nil {
@@ -280,13 +290,6 @@ func setup(o Options, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 				})
 			}
 		}
-		run.Recover = func(im *memory.Image) error {
-			state, err := journal.Recover(im, meta)
-			if err != nil {
-				return err
-			}
-			return CheckJournalPairsBy(state, o.Threads, tagOf)
-		}
 		run.Checked = func(im *memory.Image) (fault.RecoveryReport, error) {
 			state, rep, err := journal.RecoverSalvage(im, meta)
 			if err != nil {
@@ -315,13 +318,6 @@ func setup(o Options, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 				})
 			}
 		}
-		run.Recover = func(im *memory.Image) error {
-			state, err := pstm.Recover(im, meta)
-			if err != nil {
-				return err
-			}
-			return CheckPSTMPairs(state, o.Threads)
-		}
 		run.Checked = func(im *memory.Image) (fault.RecoveryReport, error) {
 			state, rep, err := pstm.RecoverSalvage(im, meta)
 			if err != nil {
@@ -335,6 +331,7 @@ func setup(o Options, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 	default:
 		return nil, nil, fmt.Errorf("unknown workload %q", o.Workload)
 	}
+	run.Recover = strictOf(run.Checked)
 	if o.Integrity {
 		run.Describe += ", integrity format"
 	}
